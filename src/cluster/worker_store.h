@@ -184,13 +184,6 @@ class WorkerStore {
     }
   }
 
-  // Allocating convenience wrapper around DrainQueueInto.
-  std::vector<QueueEntry> DrainQueue(WorkerId id) {
-    std::vector<QueueEntry> drained;
-    DrainQueueInto(id, &drained);
-    return drained;
-  }
-
   // Fail-stop crash: releases every occupied slot (executing and requesting)
   // in one stroke. The queue must already be drained; the caller is
   // responsible for invalidating the in-flight completions/resolves whose

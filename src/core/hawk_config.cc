@@ -90,11 +90,6 @@ constexpr FieldSetter kFields[] = {
        c.short_partition_fraction = v;
        return true;
      }},
-    {"sim_epoch_coalescing",
-     [](HawkConfig& c, double v) {
-       c.sim_epoch_coalescing = v != 0.0;
-       return true;
-     }},
     {"sim_shards",
      [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_shards, v); }},
     {"sim_threads",

@@ -107,13 +107,6 @@ struct HawkConfig {
   // bit-identical results for a fixed sim_shards.
   uint32_t sim_threads = 0;
 
-  // Epoch coalescing in the sharded executor: when an epoch window contains
-  // no shard-side events, the coordinator advances to the next window without
-  // waking the phase pool (an empty phase commits nothing, so skipping it is
-  // order-preserving by construction). Non-semantic like sim_threads: on and
-  // off are bit-identical; the knob exists so tests can pin that.
-  bool sim_epoch_coalescing = true;
-
   // --- fault injection ------------------------------------------------------
   // All knobs default to zero: a zero-fault run draws nothing from the fault
   // RNG and is byte-identical to a build without the fault layer.

@@ -1,138 +1,6 @@
 #include "src/scheduler/driver.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace hawk {
-
-SimulationDriver::SimulationDriver(const Trace* trace, const HawkConfig& config,
-                                   uint32_t general_count, SchedulerPolicy* policy)
-    : trace_(trace),
-      config_(config),
-      policy_(policy),
-      cluster_(config.num_workers, general_count, config.Slots()),
-      tracker_(trace),
-      classifier_(config.classify_mode, config.cutoff_us, config.estimate_noise_lo,
-                  config.estimate_noise_hi, Rng(config.seed).Next()),
-      sched_rng_(Rng(config.seed ^ 0x5DEECE66DULL).Next()),
-      fault_rng_(Rng(config.seed ^ 0x8BADF00DDEADBEEFULL ^
-                     (config.fault_seed * 0x9E3779B97F4A7C15ULL))
-                     .Next()),
-      // The retransmit-timeout estimator starts from the cost model's RTT
-      // (2 x one-way delay); the floor keeps retries at or above one RTT and
-      // the cap bounds the exponential backoff at 256x the historical fixed
-      // timeout (4 x one-way delay).
-      rto_(/*expected_us=*/2.0 * static_cast<double>(config.net_delay_us),
-           /*floor_us=*/std::max<DurationUs>(1, 2 * config.net_delay_us),
-           /*cap_us=*/256 * std::max<DurationUs>(1, 4 * config.net_delay_us)) {
-  HAWK_CHECK(trace != nullptr);
-  HAWK_CHECK(policy != nullptr);
-  retry_pending_.assign(config.num_workers, 0);
-  faults_enabled_ = config.FaultsEnabled();
-  net_faulty_ = config.message_loss_rate > 0.0 || config.message_delay_jitter_us > 0;
-  track_exec_ = config.worker_crash_rate > 0.0;
-  stragglers_on_ = config.straggler_rate > 0.0;
-  // The policy, not the raw config, owns the effective speculation threshold
-  // (hawk-spec forces it on). Queried before Attach; must not touch ctx_.
-  spec_threshold_ = policy->SpeculationThreshold(config);
-  speculation_enabled_ = spec_threshold_ > 0.0;
-  incarnation_.assign(config.num_workers, 0);
-  down_.assign(config.num_workers, DownKind::kUp);
-  if (track_exec_) {
-    exec_records_.resize(config.num_workers);
-  }
-  // Queried on the policy before Attach-dependent state matters;
-  // ShapeForRuntime is const and must not touch the context.
-  policy_can_steal_ = policy->ShapeForRuntime(config).stealing;
-  policy_->Attach(this);
-}
-
-void SimulationDriver::PlaceProbe(WorkerId worker, JobId job, bool is_long) {
-  result_.counters.probes_placed++;
-  PushDelivery(SimEvent::ProbeArrive(worker, job, is_long));
-}
-
-void SimulationDriver::PlaceTask(WorkerId worker, JobId job, TaskIndex task_index,
-                                 DurationUs duration, bool is_long) {
-  result_.counters.central_tasks_placed++;
-  PushDelivery(SimEvent::TaskArrive(worker, job, task_index, duration, is_long));
-}
-
-void SimulationDriver::PlaceSpeculative(WorkerId worker, JobId job, TaskIndex task_index,
-                                        DurationUs duration, bool is_long) {
-  HAWK_CHECK(speculation_enabled_) << "PlaceSpeculative outside a speculation run";
-  SpecState& st = spec_state_[TaskKey(job, task_index)];
-  ++st.spec_outstanding;
-  ++result_.counters.tasks_speculated;
-  SimEvent ev = SimEvent::TaskArrive(worker, job, task_index, duration, is_long);
-  ev.flags |= SimEvent::kFlagSpeculative;
-  PushDelivery(ev);
-}
-
-void SimulationDriver::PushDelivery(SimEvent ev) {
-  ev.incarnation = incarnation_[ev.worker];
-  ++inflight_deliveries_;
-  if (!net_faulty_) {
-    events_.PushLane(kLaneNetDelay, now_ + config_.net_delay_us, ev);
-    return;
-  }
-  // Lossy/jittery network: the retransmit chain is collapsed into a single
-  // event pushed at the time the first surviving copy arrives. Each drop
-  // costs one sender timeout from the adaptive (Jacobson) estimator, backed
-  // off exponentially with a per-delivery deterministic jitter; the retry
-  // budget cuts the chain — a spent budget surfaces the loss to the
-  // recovery lanes when the final timeout fires (kFlagAbandoned) instead of
-  // retrying forever. Either way the lane's monotone-timestamp contract is
-  // broken, so faulty deliveries pay for heap ordering — the fault-free
-  // path above stays O(1).
-  const uint64_t jitter_key = delivery_seq_++;
-  SimTime delay = 0;
-  uint32_t drops = 0;
-  bool abandoned = false;
-  if (config_.message_loss_rate > 0.0) {
-    while (fault_rng_.Bernoulli(config_.message_loss_rate)) {
-      ++result_.counters.messages_dropped;
-      DurationUs timeout = rto_.BackoffTimeoutUs(drops);
-      timeout += AdaptiveTimeout::JitterUs(jitter_key, drops, timeout / 4);
-      delay += timeout;
-      if (drops == config_.retry_budget) {
-        // That drop consumed the final permitted copy: give up.
-        ++result_.counters.retries_suppressed;
-        abandoned = true;
-        break;
-      }
-      ++drops;
-      ++result_.counters.message_retries;
-    }
-  }
-  if (abandoned) {
-    // Sender-local detection: the failure surfaces when the last timeout
-    // fires, with no further flight time.
-    ev.flags |= SimEvent::kFlagAbandoned;
-    events_.Push(now_ + std::max<SimTime>(delay, 1), ev);
-    return;
-  }
-  delay += config_.net_delay_us;
-  DurationUs jitter = 0;
-  if (config_.message_delay_jitter_us > 0) {
-    jitter = fault_rng_.UniformInt(0, config_.message_delay_jitter_us);
-    delay += jitter;
-  }
-  if (drops == 0) {
-    // Karn's rule: only first-transmission RTTs feed the estimator.
-    rto_.AddSample(2.0 * static_cast<double>(config_.net_delay_us + jitter));
-  }
-  events_.Push(now_ + delay, ev);
-}
-
-void SimulationDriver::DeliverStolen(WorkerId thief, const std::vector<QueueEntry>& entries) {
-  WorkerStore& workers = cluster_.workers();
-  for (const QueueEntry& entry : entries) {
-    workers.Enqueue(thief, entry);
-  }
-  // No dispatch here: the thief is inside its own TryDispatch pass, which
-  // re-examines the queue when OnWorkerIdle returns.
-}
 
 RunResult SimulationDriver::Run() {
   // Job arrivals are streamed from the already-sorted trace via a cursor
@@ -146,17 +14,7 @@ RunResult SimulationDriver::Run() {
   // is identical.
   const std::vector<Job>& jobs = trace_->jobs();
   size_t next_job = 0;
-  if (!jobs.empty()) {
-    events_.Push(config_.util_sample_period_us, SimEvent::UtilSample());
-    // Fault processes are armed once here and re-arm themselves until the
-    // last job finishes; a zero rate never draws from the fault RNG.
-    if (config_.worker_crash_rate > 0.0) {
-      ScheduleFaultTick(SimEvent::Type::kCrashTick);
-    }
-    if (config_.worker_churn_rate > 0.0) {
-      ScheduleFaultTick(SimEvent::Type::kDepartTick);
-    }
-  }
+  ArmTimers();
   while (next_job < jobs.size() || !events_.Empty()) {
     if (next_job < jobs.size() &&
         (events_.Empty() || jobs[next_job].submit_time <= events_.PeekTime())) {
@@ -173,248 +31,56 @@ RunResult SimulationDriver::Run() {
     result_.counters.events++;
     Dispatch(entry.payload);
   }
-  HAWK_CHECK(tracker_.AllJobsFinished())
-      << "simulation drained with " << trace_->NumJobs() - tracker_.jobs_finished()
-      << " unfinished jobs";
-  CollectResults();
-  return std::move(result_);
-}
-
-void SimulationDriver::ArriveJob(const Job& job) {
-  const JobClass cls = classifier_.Classify(job);
-  tracker_.SetClassification(
-      job.id, cls.is_long_sched, cls.is_long_metrics,
-      static_cast<DurationUs>(std::llround(std::max(0.0, cls.estimate_us))));
-  result_.counters.jobs++;
-  policy_->OnJobArrival(job, cls);
+  return Finish();
 }
 
 void SimulationDriver::Dispatch(const SimEvent& ev) {
-  WorkerStore& workers = cluster_.workers();
   switch (ev.type) {
-    case SimEvent::Type::kProbeArrive: {
-      --inflight_deliveries_;
-      // Abandoned by the retry budget, addressed to a dead incarnation (sent
-      // before a crash), or to a down worker: the probe is gone; replace it
-      // if the job still needs one.
-      if ((ev.flags & SimEvent::kFlagAbandoned) != 0 ||
-          ev.incarnation != incarnation_[ev.worker] || down_[ev.worker] != DownKind::kUp) {
-        LostProbe(ev.job, ev.is_long);
+    case SimEvent::Type::kProbeArrive:
+    case SimEvent::Type::kTaskArrive:
+      ++deliveries_consumed_;
+      if (DeliveryDead(ev)) {
+        LoseDelivery(ev);
         break;
       }
-      QueueEntry entry = QueueEntry::Probe(ev.job, ev.is_long);
-      entry.enqueue_time = now_;
-      workers.Enqueue(ev.worker, entry);
+      cluster_.workers().Enqueue(ev.worker, DeliveredEntry(ev, now_));
       TryDispatch(ev.worker);
       break;
-    }
-    case SimEvent::Type::kTaskArrive: {
-      --inflight_deliveries_;
-      // A concrete task bound for a dead/down worker — or abandoned by the
-      // retry budget — goes back to its scheduler lane for re-dispatch. A
-      // speculative duplicate is not tracker-owned: losing it only matters
-      // if it was the last live copy.
-      if ((ev.flags & SimEvent::kFlagAbandoned) != 0 ||
-          ev.incarnation != incarnation_[ev.worker] || down_[ev.worker] != DownKind::kUp) {
-        if ((ev.flags & SimEvent::kFlagAbandoned) != 0) {
-          ++result_.counters.tasks_abandoned;
-        }
-        if ((ev.flags & SimEvent::kFlagSpeculative) != 0) {
-          SpecCopyVanished(ev.job, ev.task_index, static_cast<DurationUs>(ev.arg), ev.is_long);
-        } else {
-          LostTask(ev.job, ev.task_index, static_cast<DurationUs>(ev.arg), ev.is_long);
-        }
-        break;
-      }
-      QueueEntry entry = QueueEntry::Task(ev.job, ev.task_index, ev.arg, ev.is_long);
-      entry.speculative = (ev.flags & SimEvent::kFlagSpeculative) != 0;
-      entry.enqueue_time = now_;
-      workers.Enqueue(ev.worker, entry);
-      TryDispatch(ev.worker);
-      break;
-    }
-    case SimEvent::Type::kRequestResolve: {
-      if (ev.incarnation != incarnation_[ev.worker]) {
-        // The requesting slot died with the crash (ResetSlots already freed
-        // it); only the probe itself is left to account for.
-        LostProbe(ev.job, ev.is_long);
-        break;
-      }
-      workers.ResolveRequest(ev.worker, ev.is_long);
-      if (down_[ev.worker] != DownKind::kUp) {
-        // Graceful departure while the request was in flight: release the
-        // slot but decline the work.
-        LostProbe(ev.job, ev.is_long);
-        break;
-      }
-      const auto assignment = tracker_.TakeNextTask(ev.job);
-      if (assignment.has_value()) {
-        result_.counters.tasks_launched++;
-        RecordQueueWait(ev.is_long, now_ - ev.arg);
-        QueueEntry task =
-            QueueEntry::Task(ev.job, assignment->task_index, assignment->duration, ev.is_long);
-        task.enqueue_time = ev.arg;
-        // The freed slot is re-occupied immediately, so no other queue entry
-        // can dispatch off this event.
-        StartExecute(ev.worker, task);
-      } else {
-        result_.counters.cancels++;
-        TryDispatch(ev.worker);
-      }
-      break;
-    }
-    case SimEvent::Type::kTaskComplete: {
+    case SimEvent::Type::kTaskComplete:
       if (ev.incarnation != incarnation_[ev.worker]) {
         // Completion of a task the crash already killed and returned; the
         // re-dispatched copy is the only live one.
         break;
       }
-      workers.FinishExecute(ev.worker, ev.is_long);
-      if (track_exec_) {
-        DropExecRecord(ev.worker, ev.job, ev.task_index,
-                       (ev.flags & SimEvent::kFlagSpeculative) != 0);
-      }
-      // First completion of the logical task wins; a speculation loser is
-      // deduplicated here and never reaches the tracker. Finish feedback
-      // mirrors the start-side rule: only the tracker-owned copy reports,
-      // because only its start was charged to the policy's state.
-      if (!speculation_enabled_ || SpecCompletion(ev)) {
-        tracker_.OnTaskFinished(ev.job, now_);
-      }
-      if ((ev.flags & SimEvent::kFlagSpeculative) == 0) {
-        policy_->OnTaskFinish(ev.worker, ev.job, ev.is_long);
-      }
+      EndExecution(ev);
+      CommitCompletion(ev);
       if (down_[ev.worker] == DownKind::kUp) {
         TryDispatch(ev.worker);
       }
       break;
-    }
-    case SimEvent::Type::kUtilSample: {
-      result_.utilization_samples.push_back(cluster_.Utilization());
-      if (!tracker_.AllJobsFinished()) {
-        events_.Push(now_ + config_.util_sample_period_us, SimEvent::UtilSample());
+    case SimEvent::Type::kSpecCheck:
+      // A check for a copy that died with its worker is dropped: crash
+      // re-dispatch owns recovery.
+      if (ev.incarnation == incarnation_[ev.worker]) {
+        Straggling(ev);
       }
       break;
-    }
-    case SimEvent::Type::kIdleRetry: {
-      if (ev.incarnation != incarnation_[ev.worker]) {
-        // Pre-crash timer; the pending bit was already cleared by the crash
-        // and may have been re-armed since — leave it alone.
-        break;
-      }
-      retry_pending_[ev.worker] = 0;
-      if (down_[ev.worker] == DownKind::kUp && workers.HasFreeSlot(ev.worker)) {
-        TryDispatch(ev.worker);
-      }
-      break;
-    }
-    case SimEvent::Type::kCrashTick:
-    case SimEvent::Type::kDepartTick: {
-      HandleFaultTick(ev.type);
-      break;
-    }
-    case SimEvent::Type::kSpecCheck: {
-      HandleSpecCheck(ev);
-      break;
-    }
-    case SimEvent::Type::kWorkerRejoin: {
-      RejoinWorker(ev.worker);
-      break;
-    }
+    default:
+      HandleCoordinatorEvent(ev);
   }
 }
 
-void SimulationDriver::RecordQueueWait(bool is_long, DurationUs wait_us) {
-  if (is_long) {
-    result_.counters.long_tasks_started++;
-    result_.counters.long_queue_wait_us += static_cast<uint64_t>(wait_us);
-  } else {
-    result_.counters.short_tasks_started++;
-    result_.counters.short_queue_wait_us += static_cast<uint64_t>(wait_us);
-  }
-}
-
-void SimulationDriver::TryDispatch(WorkerId worker) {
-  WorkerStore& workers = cluster_.workers();
-  // Fill free slots from the FIFO queue until the worker is saturated or out
-  // of work. With one slot per worker this is the classic loop: pop one
-  // entry, start it (or park the slot on a late-binding RTT), done.
-  bool steal_tried = false;
-  while (workers.HasFreeSlot(worker)) {
-    if (workers.QueueEmpty(worker)) {
-      // One stealing opportunity per pass; a successful steal appends
-      // entries, a failed one leaves the queue empty and the slot idle.
-      if (!steal_tried) {
-        steal_tried = true;
-        policy_->OnWorkerIdle(worker);
-        if (!workers.QueueEmpty(worker)) {
-          continue;
-        }
-      }
-      // Steal-retry extension: optionally re-notify the worker later if it
-      // is still idle (the paper's design stops at one round). Only armed
-      // while a retry could still find work — once the last jobs are down to
-      // executing tasks (nothing queued, nothing in flight, no arrivals
-      // left), a timer could only poll an empty cluster.
-      if (config_.steal_retry_interval_us > 0 && retry_pending_[worker] == 0 &&
-          !tracker_.AllJobsFinished() && StealRetryUseful()) {
-        retry_pending_[worker] = 1;
-        SimEvent retry = SimEvent::IdleRetry(worker);
-        retry.incarnation = incarnation_[worker];
-        events_.PushLane(kLaneStealRetry, now_ + config_.steal_retry_interval_us, retry);
-      }
-      return;
-    }
-    const QueueEntry entry = workers.PopFront(worker);
-    if (entry.kind == EntryKind::kTask) {
-      // Speculative duplicates are accounted in tasks_speculated, not
-      // tasks_launched, so `tasks_launched == trace tasks` holds for every
-      // scheduler; their queue wait is duplicate overhead, not job latency.
-      if (!entry.speculative) {
-        result_.counters.tasks_launched++;
-        RecordQueueWait(entry.is_long, now_ - entry.enqueue_time);
-      }
-      StartExecute(worker, entry);
-      continue;
-    }
-    // Late binding: the worker asks the job's scheduler for a task; the
-    // answer (task or cancel) arrives after one round trip, occupying a slot
-    // meanwhile.
-    workers.BeginRequest(worker, entry.is_long);
-    result_.counters.probe_requests++;
-    SimEvent resolve =
-        SimEvent::RequestResolve(worker, entry.job, entry.is_long, entry.enqueue_time);
-    resolve.incarnation = incarnation_[worker];
-    // The request/answer round trip is modeled on a reliable control channel
-    // (fixed RTT, monotone lane); only probe/task deliveries see loss/jitter.
-    events_.PushLane(kLaneRtt, now_ + 2 * config_.net_delay_us, resolve);
-  }
-}
-
-void SimulationDriver::StartExecute(WorkerId worker, const QueueEntry& task) {
-  // Partition containment (§3.4): long tasks never execute in the short
-  // partition, under any scheduler or ablation.
-  HAWK_CHECK(!task.is_long || cluster_.InGeneralPartition(worker))
-      << "long task on short-partition worker " << worker;
+void SimulationDriver::StartExecution(WorkerId worker, const QueueEntry& task) {
   // Straggler injection: a stricken copy drags for slowdown x its duration.
   // The stretch is real occupancy (charged to busy) but not useful work, so
   // it is pre-charged to wasted here; a crash that kills the copy early
-  // corrects the pre-charge (see CrashWorker).
+  // corrects the pre-charge (see DriverCore::CrashWorker).
   DurationUs actual = task.duration;
   if (stragglers_on_ && fault_rng_.Bernoulli(config_.straggler_rate)) {
-    actual = std::max(task.duration,
-                      static_cast<DurationUs>(std::llround(
-                          static_cast<double>(task.duration) *
-                          config_.straggler_slowdown_factor)));
+    actual = Stretched(task.duration);
     result_.counters.wasted_work_us += static_cast<uint64_t>(actual - task.duration);
   }
-  QueueEntry charged = task;
-  charged.duration = actual;
-  cluster_.workers().BeginExecute(worker, now_, charged);
-  if (track_exec_) {
-    exec_records_[worker].push_back(ExecRecord{task.job, task.task_index, task.duration,
-                                               actual, now_, task.is_long, task.speculative});
-  }
+  OccupySlot(worker, task, actual, now_);
   // The policy sees the nominal duration: a straggler is indistinguishable
   // from a healthy task at start time, exactly as on a real cluster.
   // Speculative duplicates are invisible to execution feedback — a
@@ -422,299 +88,18 @@ void SimulationDriver::StartExecute(WorkerId worker, const QueueEntry& task) {
   // for one would underflow the backlog of whatever worker runs the copy.
   if (!task.speculative) {
     policy_->OnTaskStart(worker, task);
-  }
-  if (speculation_enabled_ && !task.speculative) {
     // Schedule the straggling check only when this copy will provably still
     // be running when it fires — otherwise the completion beats it and the
     // check could only no-op.
-    const DurationUs estimate = tracker_.EstimateUs(task.job);
-    if (estimate > 0) {
-      const auto delay = std::max<SimTime>(
-          1, static_cast<SimTime>(
-                 std::llround(spec_threshold_ * static_cast<double>(estimate))));
-      if (delay < actual && spec_state_.find(TaskKey(task.job, task.task_index)) ==
-                                spec_state_.end()) {
-        SimEvent check =
-            SimEvent::SpecCheck(worker, task.job, task.task_index, task.duration, task.is_long);
-        check.incarnation = incarnation_[worker];
-        events_.Push(now_ + delay, check);
-      }
+    const SimTime delay = SpecCheckDelay(task.job);
+    if (delay > 0 && delay < actual &&
+        spec_state_.find(TaskKey(task.job, task.task_index)) == spec_state_.end()) {
+      events_.Push(now_ + delay,
+                   Stamped(SimEvent::OfTask(SimEvent::Type::kSpecCheck, worker, task)));
     }
   }
-  SimEvent complete =
-      SimEvent::TaskComplete(worker, task.job, task.task_index, task.duration, task.is_long);
-  if (task.speculative) {
-    complete.flags |= SimEvent::kFlagSpeculative;
-  }
-  complete.incarnation = incarnation_[worker];
-  events_.Push(now_ + actual, complete);
-}
-
-bool SimulationDriver::StealRetryUseful() const {
-  if (!policy_can_steal_) {
-    return false;
-  }
-  if (faults_enabled_) {
-    // Crashes and drops can re-queue work at any time; keep polling.
-    return true;
-  }
-  // Work can still reach some queue: jobs not yet arrived, entries queued
-  // somewhere, or deliveries in flight. Request resolves and completions
-  // never enqueue, so none of the remaining event kinds can create stealable
-  // work once these three sources are dry.
-  return result_.counters.jobs < trace_->NumJobs() || cluster_.workers().TotalQueued() > 0 ||
-         inflight_deliveries_ > 0;
-}
-
-void SimulationDriver::ScheduleFaultTick(SimEvent::Type type) {
-  const double rate_per_second = type == SimEvent::Type::kCrashTick
-                                     ? config_.worker_crash_rate
-                                     : config_.worker_churn_rate;
-  // Cluster-wide Poisson process: per-worker rate times fleet size.
-  const double mean_us = 1e6 / (rate_per_second * static_cast<double>(config_.num_workers));
-  const auto wait = static_cast<SimTime>(std::llround(fault_rng_.Exponential(mean_us)));
-  events_.Push(now_ + std::max<SimTime>(wait, 1),
-               type == SimEvent::Type::kCrashTick ? SimEvent::CrashTick()
-                                                  : SimEvent::DepartTick());
-}
-
-void SimulationDriver::HandleFaultTick(SimEvent::Type type) {
-  if (tracker_.AllJobsFinished()) {
-    // The run is over; let the process die out so the event loop drains.
-    return;
-  }
-  // Draw the victim before re-arming so the stream reads (victim, next-wait)
-  // per tick regardless of what the victim draw hits.
-  const auto victim =
-      static_cast<WorkerId>(fault_rng_.UniformInt(0, config_.num_workers - 1));
-  const bool up = down_[victim] == DownKind::kUp;
-  ScheduleFaultTick(type);
-  if (!up) {
-    // Already out of service; this tick fizzles (the fault process does not
-    // queue up faults behind a down node).
-    return;
-  }
-  if (type == SimEvent::Type::kCrashTick) {
-    CrashWorker(victim);
-  } else {
-    DepartWorker(victim);
-  }
-}
-
-void SimulationDriver::CrashWorker(WorkerId worker) {
-  WorkerStore& workers = cluster_.workers();
-  result_.counters.worker_crashes++;
-  down_[worker] = DownKind::kCrashed;
-  // Everything in flight to or from the dead incarnation — deliveries,
-  // request resolves, completions, idle retries — is now stale.
-  ++incarnation_[worker];
-  // A crashed worker must not leak a pending-retry bit that would suppress
-  // retries after it rejoins.
-  retry_pending_[worker] = 0;
-  const std::vector<QueueEntry> drained = workers.DrainQueue(worker);
-  std::vector<ExecRecord> killed;
-  if (track_exec_) {
-    killed.swap(exec_records_[worker]);
-  } else {
-    HAWK_CHECK_EQ(workers.ExecutingSlots(worker), 0u)
-        << "crash injection without exec tracking";
-  }
-  workers.ResetSlots(worker);
-  // Re-dispatch after the store is consistent: the policy callbacks below
-  // may place probes/tasks (even back onto this worker — they bounce off the
-  // down check on arrival).
-  for (const QueueEntry& entry : drained) {
-    ReDispatchEntry(entry);
-  }
-  for (const ExecRecord& rec : killed) {
-    const DurationUs ran = now_ - rec.started_at;
-    // BeginExecute charged the full (possibly straggler-stretched) duration
-    // up front; the killed run only delivered `ran` of it, and even that is
-    // wasted. A straggler's stretch was already pre-charged to wasted at
-    // start, so the correction nets the copy's waste to exactly `ran`.
-    workers.DeductBusyUs(worker, rec.actual_duration - ran);
-    const int64_t waste_delta = ran - (rec.actual_duration - rec.duration);
-    result_.counters.wasted_work_us = static_cast<uint64_t>(
-        static_cast<int64_t>(result_.counters.wasted_work_us) + waste_delta);
-    if (rec.speculative) {
-      SpecCopyVanished(rec.job, rec.task_index, rec.duration, rec.is_long);
-      continue;
-    }
-    if (speculation_enabled_) {
-      const uint64_t key = TaskKey(rec.job, rec.task_index);
-      auto it = spec_state_.find(key);
-      if (it != spec_state_.end()) {
-        // The primary died while duplicate machinery is live: if a duplicate
-        // is still out there (or the task already finished), it owns the
-        // outcome; only a fully orphaned task re-enters the lost-task lane.
-        SpecState& st = it->second;
-        st.primary_owned = false;
-        if (!st.done && st.spec_outstanding == 0) {
-          st.primary_owned = true;
-          LostTask(rec.job, rec.task_index, rec.duration, rec.is_long);
-        }
-        MaybeEraseSpec(key);
-        continue;
-      }
-    }
-    LostTask(rec.job, rec.task_index, rec.duration, rec.is_long);
-  }
-  events_.Push(now_ + config_.worker_downtime_us, SimEvent::WorkerRejoin(worker));
-}
-
-void SimulationDriver::DepartWorker(WorkerId worker) {
-  WorkerStore& workers = cluster_.workers();
-  result_.counters.worker_departures++;
-  down_[worker] = DownKind::kDeparted;
-  // Graceful: queued entries are bounced back to their schedulers right
-  // away, executing tasks run to completion, and in-flight requests resolve
-  // as declines (see kRequestResolve). No incarnation bump — completions
-  // from this incarnation are still good.
-  const std::vector<QueueEntry> drained = workers.DrainQueue(worker);
-  for (const QueueEntry& entry : drained) {
-    ReDispatchEntry(entry);
-  }
-  events_.Push(now_ + config_.worker_downtime_us, SimEvent::WorkerRejoin(worker));
-}
-
-void SimulationDriver::RejoinWorker(WorkerId worker) {
-  down_[worker] = DownKind::kUp;
-  result_.counters.worker_rejoins++;
-  // Fresh and empty: give it a dispatch pass so it can steal straight away.
-  TryDispatch(worker);
-}
-
-void SimulationDriver::ReDispatchEntry(const QueueEntry& entry) {
-  if (entry.kind == EntryKind::kTask) {
-    if (entry.speculative) {
-      SpecCopyVanished(entry.job, entry.task_index, entry.duration, entry.is_long);
-    } else {
-      LostTask(entry.job, entry.task_index, entry.duration, entry.is_long);
-    }
-  } else {
-    LostProbe(entry.job, entry.is_long);
-  }
-}
-
-void SimulationDriver::LostProbe(JobId job, bool is_long) {
-  result_.counters.probes_lost++;
-  policy_->OnProbeLost(job, is_long);
-}
-
-void SimulationDriver::LostTask(JobId job, TaskIndex task_index, DurationUs duration,
-                                bool is_long) {
-  tracker_.ReturnTask(job, TaskAssignment{task_index, duration});
-  result_.counters.tasks_re_dispatched++;
-  policy_->OnTaskLost(job, is_long);
-}
-
-void SimulationDriver::HandleSpecCheck(const SimEvent& ev) {
-  if (ev.incarnation != incarnation_[ev.worker]) {
-    // The watched copy died with its worker; crash re-dispatch owns recovery.
-    return;
-  }
-  const uint64_t key = TaskKey(ev.job, ev.task_index);
-  if (spec_state_.find(key) != spec_state_.end()) {
-    // Already speculated (at most one duplicate decision per logical task).
-    return;
-  }
-  // Checks are only scheduled when the copy outlives the threshold, so the
-  // primary is provably still running here: hand the placement decision to
-  // the policy. State is created by PlaceSpeculative, so a policy that
-  // declines leaves no trace.
-  policy_->OnTaskStraggling(ev.job, ev.task_index, static_cast<DurationUs>(ev.arg), ev.is_long);
-}
-
-void SimulationDriver::SpecCopyVanished(JobId job, TaskIndex task_index, DurationUs duration,
-                                        bool is_long) {
-  const uint64_t key = TaskKey(job, task_index);
-  auto it = spec_state_.find(key);
-  HAWK_CHECK(it != spec_state_.end()) << "speculative copy of job " << job << " task "
-                                      << task_index << " has no state";
-  SpecState& st = it->second;
-  HAWK_CHECK_GT(st.spec_outstanding, 0u);
-  --st.spec_outstanding;
-  if (!st.done && st.spec_outstanding == 0 && !st.primary_owned) {
-    // The duplicate was the last live copy: ownership reverts to the normal
-    // lost-task lane so the task still completes.
-    st.primary_owned = true;
-    LostTask(job, task_index, duration, is_long);
-  }
-  MaybeEraseSpec(key);
-}
-
-bool SimulationDriver::SpecCompletion(const SimEvent& ev) {
-  const uint64_t key = TaskKey(ev.job, ev.task_index);
-  const bool speculative = (ev.flags & SimEvent::kFlagSpeculative) != 0;
-  auto it = spec_state_.find(key);
-  if (it == spec_state_.end()) {
-    HAWK_CHECK(!speculative) << "speculative completion without state";
-    return true;  // Never speculated: the normal single-copy path.
-  }
-  SpecState& st = it->second;
-  if (speculative) {
-    HAWK_CHECK_GT(st.spec_outstanding, 0u);
-    --st.spec_outstanding;
-  } else {
-    st.primary_owned = false;
-  }
-  const bool first = !st.done;
-  if (first) {
-    st.done = true;
-    if (speculative) {
-      ++result_.counters.speculative_wins;
-    }
-  } else {
-    // The losing copy's nominal work is pure waste (its straggler stretch,
-    // if any, was already charged at start).
-    ++result_.counters.duplicate_completions;
-    result_.counters.speculative_wasted_us += static_cast<uint64_t>(ev.arg);
-    result_.counters.wasted_work_us += static_cast<uint64_t>(ev.arg);
-  }
-  MaybeEraseSpec(key);
-  return first;
-}
-
-void SimulationDriver::MaybeEraseSpec(uint64_t key) {
-  auto it = spec_state_.find(key);
-  if (it != spec_state_.end() && it->second.spec_outstanding == 0 &&
-      !it->second.primary_owned) {
-    HAWK_CHECK(it->second.done) << "speculation state dropped with the task unfinished";
-    spec_state_.erase(it);
-  }
-}
-
-void SimulationDriver::DropExecRecord(WorkerId worker, JobId job, TaskIndex task_index,
-                                      bool speculative) {
-  // The speculative flag disambiguates the (rare but legal) case of a
-  // primary and its duplicate executing on the same worker.
-  std::vector<ExecRecord>& records = exec_records_[worker];
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (records[i].job == job && records[i].task_index == task_index &&
-        records[i].speculative == speculative) {
-      records[i] = records.back();
-      records.pop_back();
-      return;
-    }
-  }
-  HAWK_CHECK(false) << "no exec record for job " << job << " task " << task_index
-                    << " on worker " << worker;
-}
-
-void SimulationDriver::CollectResults() {
-  result_.total_busy_us = cluster_.TotalBusyUs();
-  result_.jobs.reserve(trace_->NumJobs());
-  for (const Job& job : trace_->jobs()) {
-    JobResult r;
-    r.id = job.id;
-    r.is_long = tracker_.IsLongMetrics(job.id);
-    r.submit_time = job.submit_time;
-    r.finish_time = tracker_.FinishTime(job.id);
-    HAWK_CHECK_GE(r.finish_time, r.submit_time);
-    r.runtime_us = r.finish_time - r.submit_time;
-    result_.makespan_us = std::max(result_.makespan_us, r.finish_time);
-    result_.jobs.push_back(r);
-  }
+  events_.Push(now_ + actual,
+               Stamped(SimEvent::OfTask(SimEvent::Type::kTaskComplete, worker, task)));
 }
 
 }  // namespace hawk

@@ -1,11 +1,7 @@
-// Event-driven simulation of a cluster run (the paper's evaluation vehicle).
-//
-// The driver replays a trace against a cluster under a SchedulerPolicy and
-// produces a RunResult. Cost model (paper §4.1): one-way network delay of
-// 0.5 ms for probe/task placement, one RTT for a late-binding task request,
-// zero cost for scheduling decisions and stealing. Workers are FIFO servers
-// with one queue feeding `slots_per_worker` execution slots (one by
-// default, reproducing the paper's single-slot model exactly).
+// Serial event-driven simulation of a cluster run (the paper's evaluation
+// vehicle). The cost model, the recovery ledger and everything else both
+// executors share live in DriverCore (driver_core.h); this executor owns one
+// global (time, seq) event order on one core.
 //
 // Event flow per worker:
 //   probe/task arrives -> TryDispatch: pop entries while free slots remain;
@@ -16,299 +12,59 @@
 #ifndef HAWK_SCHEDULER_DRIVER_H_
 #define HAWK_SCHEDULER_DRIVER_H_
 
-#include <algorithm>
-#include <unordered_map>
-#include <vector>
-
-#include "src/cluster/cluster.h"
-#include "src/cluster/job_tracker.h"
-#include "src/cluster/results.h"
-#include "src/core/adaptive_timeout.h"
-#include "src/core/hawk_config.h"
-#include "src/core/job_classifier.h"
-#include "src/scheduler/policy.h"
+#include "src/scheduler/driver_core.h"
 #include "src/sim/event_queue.h"
-#include "src/workload/trace.h"
 
 namespace hawk {
 
-class SimulationDriver : public SchedulerContext {
+class SimulationDriver : public DriverCore<SimulationDriver> {
  public:
   // `general_count` defines the partition split (pass num_workers for
   // unpartitioned baselines). The trace and policy must outlive the driver.
   SimulationDriver(const Trace* trace, const HawkConfig& config, uint32_t general_count,
-                   SchedulerPolicy* policy);
+                   SchedulerPolicy* policy)
+      : DriverCore(trace, config, general_count, policy) {}
 
   // Runs the whole trace to completion and returns per-job results (ordered
   // by job id), utilization samples and counters.
   RunResult Run();
 
-  // --- SchedulerContext ----------------------------------------------------
-  SimTime Now() const override { return now_; }
-  Rng& SchedRng() override { return sched_rng_; }
-  Cluster& GetCluster() override { return cluster_; }
-  JobTracker& Tracker() override { return tracker_; }
-  RunCounters& Counters() override { return result_.counters; }
-  void PlaceProbe(WorkerId worker, JobId job, bool is_long) override;
-  void PlaceTask(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
-                 bool is_long) override;
-  void PlaceSpeculative(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
-                        bool is_long) override;
-  void DeliverStolen(WorkerId thief, const std::vector<QueueEntry>& entries) override;
-
  private:
-  // POD heap payload. Job arrivals are not events: the driver streams them
-  // from the (sorted) trace via a cursor, so the heap only ever holds
-  // in-flight work, not the whole future. Construct via the named factories
-  // below — they exist so call sites cannot silently swap positional fields.
-  struct SimEvent {
-    enum class Type : uint8_t {
-      kProbeArrive,
-      kTaskArrive,
-      kRequestResolve,
-      kTaskComplete,
-      kUtilSample,
-      kIdleRetry,  // Steal-retry extension: re-notify a still-idle worker.
-      // Fault layer (all zero-rate by default, so none of these exist in a
-      // fault-free run):
-      kCrashTick,      // Poisson tick: fail-stop crash of a random worker.
-      kDepartTick,     // Poisson tick: graceful departure of a random worker.
-      kWorkerRejoin,   // A down worker comes back (empty) after downtime.
-      kSpecCheck,      // Speculation: is this task copy still running?
-    };
-    // Event flag bits (`flags`).
-    static constexpr uint8_t kFlagSpeculative = 1;  // Duplicate task copy.
-    static constexpr uint8_t kFlagAbandoned = 2;    // Delivery gave up: the
-                                                    // retry budget is spent.
-    Type type = Type::kUtilSample;
-    bool is_long = false;
-    uint8_t flags = 0;
-    WorkerId worker = kInvalidWorker;
-    JobId job = kInvalidJob;
-    TaskIndex task_index = 0;
-    // Type-dependent slot: the task duration for kTaskArrive, kSpecCheck and
-    // kTaskComplete (the nominal duration — speculation-loser accounting
-    // needs it), the entry's original enqueue time for kRequestResolve
-    // (queueing-delay telemetry).
-    int64_t arg = 0;
-    // Which incarnation of `worker` this event was addressed to. A crash
-    // bumps the worker's incarnation, so everything already in flight toward
-    // (or from) the dead incarnation — deliveries, request resolves, task
-    // completions, idle retries — is recognized as stale at pop time.
-    // Always 0 in fault-free runs, matching the worker's never-bumped count.
-    uint32_t incarnation = 0;
-
-    static SimEvent ProbeArrive(WorkerId worker, JobId job, bool is_long) {
-      SimEvent e;
-      e.type = Type::kProbeArrive;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      return e;
-    }
-    static SimEvent TaskArrive(WorkerId worker, JobId job, TaskIndex task_index,
-                               DurationUs duration, bool is_long) {
-      SimEvent e;
-      e.type = Type::kTaskArrive;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.task_index = task_index;
-      e.arg = duration;
-      return e;
-    }
-    static SimEvent RequestResolve(WorkerId worker, JobId job, bool is_long,
-                                   SimTime enqueued_at) {
-      SimEvent e;
-      e.type = Type::kRequestResolve;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.arg = enqueued_at;
-      return e;
-    }
-    static SimEvent TaskComplete(WorkerId worker, JobId job, TaskIndex task_index,
-                                 DurationUs duration, bool is_long) {
-      SimEvent e;
-      e.type = Type::kTaskComplete;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.task_index = task_index;
-      e.arg = duration;
-      return e;
-    }
-    static SimEvent SpecCheck(WorkerId worker, JobId job, TaskIndex task_index,
-                              DurationUs duration, bool is_long) {
-      SimEvent e;
-      e.type = Type::kSpecCheck;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.task_index = task_index;
-      e.arg = duration;
-      return e;
-    }
-    static SimEvent UtilSample() { return SimEvent{}; }
-    static SimEvent IdleRetry(WorkerId worker) {
-      SimEvent e;
-      e.type = Type::kIdleRetry;
-      e.worker = worker;
-      return e;
-    }
-    static SimEvent CrashTick() {
-      SimEvent e;
-      e.type = Type::kCrashTick;
-      return e;
-    }
-    static SimEvent DepartTick() {
-      SimEvent e;
-      e.type = Type::kDepartTick;
-      return e;
-    }
-    static SimEvent WorkerRejoin(WorkerId worker) {
-      SimEvent e;
-      e.type = Type::kWorkerRejoin;
-      e.worker = worker;
-      return e;
-    }
-  };
-
-  // Why a worker is out of service. A crashed worker loses everything
-  // (queue, requests, in-flight tasks — all invalidated via the incarnation
-  // bump); a departed worker bounces new work but lets executing tasks
-  // finish.
-  enum class DownKind : uint8_t { kUp = 0, kCrashed, kDeparted };
-
-  // In-flight execution record, kept per worker only while crash injection
-  // is active: a crash must know which (job, task) pairs die with the node.
-  struct ExecRecord {
-    JobId job;
-    TaskIndex task_index;
-    DurationUs duration;         // Nominal (trace) duration.
-    DurationUs actual_duration;  // Stretched when the copy is a straggler.
-    SimTime started_at;
-    bool is_long;
-    bool speculative;
-  };
-
-  // Per-task speculation state, created when a duplicate is launched and
-  // erased once neither lineage can produce further events. `primary_owned`
-  // means the logical task is still held by the normal single-copy machinery
-  // (a primary copy exists somewhere, or the tracker holds it for
-  // re-dispatch); `spec_outstanding` counts duplicate copies alive in any
-  // state (in flight, queued, executing).
-  struct SpecState {
-    uint8_t spec_outstanding = 0;
-    bool done = false;
-    bool primary_owned = true;
-  };
-
-  static uint64_t TaskKey(JobId job, TaskIndex task_index) {
-    return (static_cast<uint64_t>(job) << 32) | task_index;
-  }
-
-  // Classifies a newly submitted job and hands it to the policy.
-  void ArriveJob(const Job& job);
-  void Dispatch(const SimEvent& ev);
-  void RecordQueueWait(bool is_long, DurationUs wait_us);
-  // Advances an idle worker: pops queue entries until it is executing,
-  // waiting on a task request, or idle with an empty queue (after giving the
-  // policy one stealing opportunity per pass over an empty queue).
-  void TryDispatch(WorkerId worker);
-  void StartExecute(WorkerId worker, const QueueEntry& task);
-  void CollectResults();
-
-  // --- fault layer ---------------------------------------------------------
-  // Queues a probe/task delivery: the fault-free path is the historical
-  // monotone lane push; with loss/jitter active the delivery may be dropped
-  // (and retransmitted after a sender timeout) or delayed, which forces the
-  // variable-delay heap.
-  void PushDelivery(SimEvent ev);
-  // True while another steal-retry timer can still observably help: the
-  // policy steals and work exists (or can still appear) outside this
-  // worker's empty queue. Stops the end-of-run dead timers that used to poll
-  // an already-drained cluster while the last tasks finished executing.
-  bool StealRetryUseful() const;
-  void ScheduleFaultTick(SimEvent::Type type);
-  // Poisson tick handlers: pick a victim (skipping already-down workers) and
-  // apply the fault, then re-arm the tick while the run is still live.
-  void HandleFaultTick(SimEvent::Type type);
-  void CrashWorker(WorkerId worker);
-  void DepartWorker(WorkerId worker);
-  void RejoinWorker(WorkerId worker);
-  // Hands a drained queue entry back to its scheduler (task -> ReturnTask +
-  // OnTaskLost, probe -> OnProbeLost).
-  void ReDispatchEntry(const QueueEntry& entry);
-  void LostProbe(JobId job, bool is_long);
-  void LostTask(JobId job, TaskIndex task_index, DurationUs duration, bool is_long);
-  void DropExecRecord(WorkerId worker, JobId job, TaskIndex task_index, bool speculative);
-
-  // --- speculative re-execution --------------------------------------------
-  // kSpecCheck handler: the watched primary copy is provably still running
-  // when the check fires (checks are only scheduled when the stretch outlives
-  // the threshold), so unless it crashed or was already speculated, ask the
-  // policy to place a duplicate.
-  void HandleSpecCheck(const SimEvent& ev);
-  // A duplicate copy ceased to exist without completing (lost delivery,
-  // drained queue, crash kill). If it was the last live copy and the task is
-  // unfinished, ownership reverts to the normal lost-task lane.
-  void SpecCopyVanished(JobId job, TaskIndex task_index, DurationUs duration, bool is_long);
-  // Dedupe at completion: returns true when this completion is the first for
-  // the logical task (and so must reach the tracker), false for a loser.
-  bool SpecCompletion(const SimEvent& ev);
-  void MaybeEraseSpec(uint64_t key);
+  friend class DriverCore<SimulationDriver>;
 
   // Fixed-delay event classes get O(1) monotone lanes in the event queue;
-  // only variable-delay events (task completions, utilization samples) pay
-  // for heap ordering.
+  // only variable-delay events (task completions, samples, faulty
+  // deliveries) pay for heap ordering.
   static constexpr size_t kLaneNetDelay = 0;    // Probe/task delivery: +net_delay.
   static constexpr size_t kLaneRtt = 1;         // Late-binding resolve: +2*net_delay.
   static constexpr size_t kLaneStealRetry = 2;  // Idle retry: +steal_retry_interval.
 
-  const Trace* trace_;
-  HawkConfig config_;
-  SchedulerPolicy* policy_;
-  Cluster cluster_;
-  JobTracker tracker_;
-  JobClassifier classifier_;
-  Rng sched_rng_;
-  sim::MultiLaneEventQueue<SimEvent, 3> events_;
-  SimTime now_ = 0;
-  RunResult result_;
-  // Steal-retry extension: one outstanding retry per worker.
-  std::vector<uint8_t> retry_pending_;
+  void Dispatch(const SimEvent& ev);
 
-  // --- fault state ---------------------------------------------------------
-  // Dedicated RNG so fault draws never perturb scheduler decisions: a
-  // zero-fault run draws nothing from it and is byte-identical to pre-fault
-  // builds, and sweeping fault_seed re-rolls only the faults.
-  Rng fault_rng_;
-  bool faults_enabled_ = false;  // Any fault axis nonzero.
-  bool net_faulty_ = false;      // Loss or jitter active (heap deliveries).
-  bool track_exec_ = false;      // Crash injection needs in-flight records.
-  bool stragglers_on_ = false;   // straggler_rate > 0: executions may drag.
-  // Speculation (policy-effective threshold; hawk-spec forces it on).
-  bool speculation_enabled_ = false;
-  double spec_threshold_ = 0.0;
-  // Jacobson-style retransmit-timeout estimator for lossy deliveries, fed
-  // with first-transmission RTT observations (Karn's rule: retransmitted
-  // deliveries contribute no sample).
-  AdaptiveTimeout rto_;
-  uint64_t delivery_seq_ = 0;  // Keys the deterministic retry jitter.
-  // Tasks whose duplicate machinery is live; keyed by TaskKey. Only ever
-  // populated when speculation_enabled_.
-  std::unordered_map<uint64_t, SpecState> spec_state_;
-  // Whether the policy's shape steals at all; retry timers are pointless
-  // otherwise.
-  bool policy_can_steal_ = false;
-  std::vector<uint32_t> incarnation_;  // Bumped on crash; stamps events.
-  std::vector<DownKind> down_;
-  // Per-worker in-flight tasks; empty vectors unless track_exec_.
-  std::vector<std::vector<ExecRecord>> exec_records_;
-  // Probe/task deliveries currently in flight (incl. to-be-dropped ones);
-  // feeds StealRetryUseful.
-  uint64_t inflight_deliveries_ = 0;
+  // --- DriverCore hooks ----------------------------------------------------
+  // Straggler draws come from the shared fault stream, and the speculation
+  // check is skipped for a task already in the speculation table.
+  void StartExecution(WorkerId worker, const QueueEntry& task);
+  void QueueDelivery(SimTime at, const SimEvent& ev, bool monotone) {
+    if (monotone) {
+      events_.PushLane(kLaneNetDelay, at, ev);
+    } else {
+      events_.Push(at, ev);
+    }
+  }
+  void QueueTimer(SimTime at, const SimEvent& ev) {
+    if (ev.type == SimEvent::Type::kRequestResolve) {
+      events_.PushLane(kLaneRtt, at, ev);
+    } else if (ev.type == SimEvent::Type::kIdleRetry) {
+      events_.PushLane(kLaneStealRetry, at, ev);
+    } else {
+      events_.Push(at, ev);
+    }
+  }
+  uint64_t DeliveriesConsumed() const { return deliveries_consumed_; }
+
+  sim::MultiLaneEventQueue<SimEvent, 3> events_;
+  uint64_t deliveries_consumed_ = 0;
 };
 
 }  // namespace hawk

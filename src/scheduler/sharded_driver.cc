@@ -1,7 +1,6 @@
 #include "src/scheduler/sharded_driver.h"
 
 #include <algorithm>
-#include <cmath>
 #include <iterator>
 
 namespace hawk {
@@ -9,8 +8,12 @@ namespace {
 
 // Field-wise sum of two counter sets. Every RunCounters field is an additive
 // event/time tally, so per-shard counters merge into the coordinator's by
-// plain summation. Listed explicitly: a new RunCounters field must be added
-// here (and the shard_test conservation checks will catch an omission).
+// plain summation. Listed explicitly, so a new RunCounters field must be
+// added here. No test can catch an omission (sharded runs only agree with
+// each other, and an unmerged field reads 0 in all of them), hence the
+// size check.
+static_assert(sizeof(RunCounters) == 30 * sizeof(uint64_t),
+              "RunCounters changed: add the new field to MergeCounters");
 void MergeCounters(RunCounters& into, const RunCounters& from) {
   into.jobs += from.jobs;
   into.tasks_launched += from.tasks_launched;
@@ -44,16 +47,6 @@ void MergeCounters(RunCounters& into, const RunCounters& from) {
   into.node_suspicions += from.node_suspicions;
 }
 
-void RecordQueueWait(RunCounters& counters, bool is_long, DurationUs wait_us) {
-  if (is_long) {
-    counters.long_tasks_started++;
-    counters.long_queue_wait_us += static_cast<uint64_t>(wait_us);
-  } else {
-    counters.short_tasks_started++;
-    counters.short_queue_wait_us += static_cast<uint64_t>(wait_us);
-  }
-}
-
 // Light busy-wait hint for the spin loops (a no-op fallback elsewhere).
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -79,25 +72,7 @@ constexpr WorkerId kBoundaryAlignWorkers = 32;
 ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkConfig& config,
                                                  uint32_t general_count,
                                                  SchedulerPolicy* policy)
-    : trace_(trace),
-      config_(config),
-      policy_(policy),
-      cluster_(config.num_workers, general_count, config.Slots()),
-      tracker_(trace),
-      classifier_(config.classify_mode, config.cutoff_us, config.estimate_noise_lo,
-                  config.estimate_noise_hi, Rng(config.seed).Next()),
-      // Identical stream derivations to the serial driver: scheduler
-      // decisions and loss/jitter/fault-tick draws come from the same seeds,
-      // in the same coordinator-serialized order.
-      sched_rng_(Rng(config.seed ^ 0x5DEECE66DULL).Next()),
-      fault_rng_(Rng(config.seed ^ 0x8BADF00DDEADBEEFULL ^
-                     (config.fault_seed * 0x9E3779B97F4A7C15ULL))
-                     .Next()),
-      rto_(/*expected_us=*/2.0 * static_cast<double>(config.net_delay_us),
-           /*floor_us=*/std::max<DurationUs>(1, 2 * config.net_delay_us),
-           /*cap_us=*/256 * std::max<DurationUs>(1, 4 * config.net_delay_us)) {
-  HAWK_CHECK(trace != nullptr);
-  HAWK_CHECK(policy != nullptr);
+    : DriverCore(trace, config, general_count, policy) {
   HAWK_CHECK_GE(config.sim_shards, 2u) << "sim_shards <= 1 runs the serial SimulationDriver";
   HAWK_CHECK_LE(config.sim_shards, config.num_workers);
   horizon_us_ = std::max<DurationUs>(1, config.net_delay_us);
@@ -142,20 +117,6 @@ ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkC
   }
   ready_ = std::vector<ReadyFlag>(num_shards);
   merge_taken_.assign(num_shards, 0);
-  coalesce_ = config.sim_epoch_coalescing;
-
-  retry_pending_.assign(config.num_workers, 0);
-  faults_enabled_ = config.FaultsEnabled();
-  net_faulty_ = config.message_loss_rate > 0.0 || config.message_delay_jitter_us > 0;
-  track_exec_ = config.worker_crash_rate > 0.0;
-  stragglers_on_ = config.straggler_rate > 0.0;
-  spec_threshold_ = policy->SpeculationThreshold(config);
-  speculation_enabled_ = spec_threshold_ > 0.0;
-  incarnation_.assign(config.num_workers, 0);
-  down_.assign(config.num_workers, DownKind::kUp);
-  if (track_exec_) {
-    exec_records_.resize(config.num_workers);
-  }
   if (stragglers_on_) {
     // Substream salt derived like the fault stream (re-rolled by fault_seed,
     // pinned by seed) but from a distinct constant, so straggler draws are
@@ -165,8 +126,6 @@ ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkC
             .Next();
     straggler_seq_.assign(config.num_workers, 0);
   }
-  policy_can_steal_ = policy->ShapeForRuntime(config).stealing;
-  policy_->Attach(this);
 }
 
 ShardedSimulationDriver::~ShardedSimulationDriver() { StopPool(); }
@@ -176,115 +135,12 @@ uint32_t ShardedSimulationDriver::ShardOfWorker(WorkerId worker) const {
   return static_cast<uint32_t>(it - shard_begin_.begin()) - 1;
 }
 
-// --- SchedulerContext placements (barrier-only) ------------------------------
-
-void ShardedSimulationDriver::PlaceProbe(WorkerId worker, JobId job, bool is_long) {
-  result_.counters.probes_placed++;
-  PushDelivery(ShardEvent::ProbeArrive(worker, job, is_long));
-}
-
-void ShardedSimulationDriver::PlaceTask(WorkerId worker, JobId job, TaskIndex task_index,
-                                        DurationUs duration, bool is_long) {
-  result_.counters.central_tasks_placed++;
-  PushDelivery(ShardEvent::TaskArrive(worker, job, task_index, duration, is_long));
-}
-
-void ShardedSimulationDriver::PlaceSpeculative(WorkerId worker, JobId job, TaskIndex task_index,
-                                               DurationUs duration, bool is_long) {
-  HAWK_CHECK(speculation_enabled_) << "PlaceSpeculative outside a speculation run";
-  SpecState& st = spec_state_[TaskKey(job, task_index)];
-  ++st.spec_outstanding;
-  ++result_.counters.tasks_speculated;
-  ShardEvent ev = ShardEvent::TaskArrive(worker, job, task_index, duration, is_long);
-  ev.flags |= ShardEvent::kFlagSpeculative;
-  PushDelivery(ev);
-}
-
-void ShardedSimulationDriver::DeliverStolen(WorkerId thief,
-                                            const std::vector<QueueEntry>& entries) {
-  WorkerStore& workers = cluster_.workers();
-  for (const QueueEntry& entry : entries) {
-    workers.Enqueue(thief, entry);
-  }
-  // No dispatch: the thief is inside its own TryDispatchCoord pass.
-}
-
-void ShardedSimulationDriver::PushDelivery(ShardEvent ev) {
-  ev.incarnation = incarnation_[ev.worker];
-  ++deliveries_pushed_;
-  Shard& shard = shards_[ShardOfWorker(ev.worker)];
-  if (!net_faulty_) {
-    // The coordinator clock is monotone (clamped), so fault-free deliveries
-    // keep the O(1) monotone lane even though epoch windows overlap.
-    shard.queue.PushLane(kLaneDelivery, now_ + config_.net_delay_us, ev);
-    return;
-  }
-  // Lossy/jittery network: identical retransmit-chain collapse to the serial
-  // driver (same fault RNG, drawn in coordinator order).
-  const uint64_t jitter_key = delivery_seq_++;
-  SimTime delay = 0;
-  uint32_t drops = 0;
-  bool abandoned = false;
-  if (config_.message_loss_rate > 0.0) {
-    while (fault_rng_.Bernoulli(config_.message_loss_rate)) {
-      ++result_.counters.messages_dropped;
-      DurationUs timeout = rto_.BackoffTimeoutUs(drops);
-      timeout += AdaptiveTimeout::JitterUs(jitter_key, drops, timeout / 4);
-      delay += timeout;
-      if (drops == config_.retry_budget) {
-        ++result_.counters.retries_suppressed;
-        abandoned = true;
-        break;
-      }
-      ++drops;
-      ++result_.counters.message_retries;
-    }
-  }
-  if (abandoned) {
-    ev.flags |= ShardEvent::kFlagAbandoned;
-    shard.queue.Push(now_ + std::max<SimTime>(delay, 1), ev);
-    return;
-  }
-  delay += config_.net_delay_us;
-  DurationUs jitter = 0;
-  if (config_.message_delay_jitter_us > 0) {
-    jitter = fault_rng_.UniformInt(0, config_.message_delay_jitter_us);
-    delay += jitter;
-  }
-  if (drops == 0) {
-    rto_.AddSample(2.0 * static_cast<double>(config_.net_delay_us + jitter));
-  }
-  shard.queue.Push(now_ + delay, ev);
-}
-
-void ShardedSimulationDriver::PushRequest(WorkerId worker, JobId job, bool is_long,
-                                          SimTime enqueued_at) {
-  CoordEvent request;
-  request.kind = CoordEvent::Kind::kRequest;
-  request.worker = worker;
-  request.job = job;
-  request.is_long = is_long;
-  request.enqueue_time = enqueued_at;
-  request.incarnation = incarnation_[worker];
-  pending_.Push(now_ + 2 * config_.net_delay_us, request);
-}
-
 // --- main loop ---------------------------------------------------------------
 
 RunResult ShardedSimulationDriver::Run() {
   const std::vector<Job>& jobs = trace_->jobs();
   size_t next_job = 0;
-  if (!jobs.empty()) {
-    CoordEvent sample;
-    sample.kind = CoordEvent::Kind::kUtilSample;
-    pending_.Push(config_.util_sample_period_us, sample);
-    if (config_.worker_crash_rate > 0.0) {
-      ScheduleFaultTick(CoordEvent::Kind::kCrashTick);
-    }
-    if (config_.worker_churn_rate > 0.0) {
-      ScheduleFaultTick(CoordEvent::Kind::kDepartTick);
-    }
-  }
+  ArmTimers();
   // Phase pool. sim_threads is non-semantic: shard phases are pure functions
   // of the pre-phase state, so any thread count (including inline execution)
   // yields the same bits.
@@ -354,37 +210,28 @@ RunResult ShardedSimulationDriver::Run() {
       const auto entry = pending_.Pop();
       now_ = std::max(now_, entry.at);
       result_.counters.events++;
-      ProcessCoordEvent(entry.payload);
+      Commit(entry.payload);
     }
     // Epoch coalescing: when the window holds no shard-side event, an empty
     // phase would commit nothing — skip straight to the next horizon without
     // waking the pool. Checked after the barrier because barrier grants
-    // (StartExecuteCoord) can push completions due inside this very window;
+    // (StartExecution) can push completions due inside this very window;
     // deliveries cannot (their due is >= now + net_delay >= window end).
-    if (coalesce_) {
-      bool shard_work = false;
-      for (const Shard& shard : shards_) {
-        if (!shard.queue.Empty() && shard.queue.PeekTime() < t_end) {
-          shard_work = true;
-          break;
-        }
-      }
-      if (!shard_work) {
-        continue;
-      }
+    const bool shard_work =
+        std::any_of(shards_.begin(), shards_.end(), [t_end](const Shard& shard) {
+          return !shard.queue.Empty() && shard.queue.PeekTime() < t_end;
+        });
+    if (!shard_work) {
+      continue;
     }
     RunPhases(t_end);
     MergeOutboxes();
   }
   StopPool();
-  HAWK_CHECK(tracker_.AllJobsFinished())
-      << "simulation drained with " << trace_->NumJobs() - tracker_.jobs_finished()
-      << " unfinished jobs";
   for (const Shard& shard : shards_) {
     MergeCounters(result_.counters, shard.counters);
   }
-  CollectResults();
-  return std::move(result_);
+  return Finish();
 }
 
 // Canonical commit order: (due time, worker). Each worker lives in exactly
@@ -397,7 +244,7 @@ bool ShardedSimulationDriver::RecordLess(const OutRecord& a, const OutRecord& b)
   if (a.due != b.due) {
     return a.due < b.due;
   }
-  return a.event.worker < b.event.worker;
+  return a.event.ev.worker < b.event.ev.worker;
 }
 
 void ShardedSimulationDriver::MergeRun(const std::vector<OutRecord>& run) {
@@ -459,388 +306,46 @@ void ShardedSimulationDriver::MergeOutboxes() {
   }
 }
 
-void ShardedSimulationDriver::ArriveJob(const Job& job) {
-  const JobClass cls = classifier_.Classify(job);
-  tracker_.SetClassification(
-      job.id, cls.is_long_sched, cls.is_long_metrics,
-      static_cast<DurationUs>(std::llround(std::max(0.0, cls.estimate_us))));
-  result_.counters.jobs++;
-  policy_->OnJobArrival(job, cls);
-}
-
 // --- coordinator event processing --------------------------------------------
 
-void ShardedSimulationDriver::ProcessCoordEvent(const CoordEvent& ev) {
-  WorkerStore& workers = cluster_.workers();
-  switch (ev.kind) {
-    case CoordEvent::Kind::kIdle: {
-      // A worker went idle during a phase; the steal opportunity commits
-      // here. Skip if the worker's world changed since emission (crash bumped
-      // the incarnation, or it departed).
-      if (ev.incarnation != incarnation_[ev.worker] || down_[ev.worker] != DownKind::kUp) {
-        break;
-      }
-      TryDispatchCoord(ev.worker);
-      break;
-    }
-    case CoordEvent::Kind::kRequest: {
-      if (ev.incarnation != incarnation_[ev.worker]) {
-        // The requesting slot died with the crash (ResetSlots freed it).
-        LostProbe(ev.job, ev.is_long);
-        break;
-      }
-      workers.ResolveRequest(ev.worker, ev.is_long);
-      if (down_[ev.worker] != DownKind::kUp) {
-        LostProbe(ev.job, ev.is_long);
-        break;
-      }
-      const auto assignment = tracker_.TakeNextTask(ev.job);
-      if (assignment.has_value()) {
-        result_.counters.tasks_launched++;
-        RecordQueueWait(result_.counters, ev.is_long, SaturatingWait(now_, ev.enqueue_time));
-        QueueEntry task =
-            QueueEntry::Task(ev.job, assignment->task_index, assignment->duration, ev.is_long);
-        task.enqueue_time = ev.enqueue_time;
-        StartExecuteCoord(ev.worker, task);
-      } else {
-        result_.counters.cancels++;
-        TryDispatchCoord(ev.worker);
+void ShardedSimulationDriver::Commit(const CoordEvent& event) {
+  const SimEvent& ev = event.ev;
+  switch (ev.type) {
+    case SimEvent::Type::kWorkerIdle:
+      // The steal opportunity of a phase-side idle transition commits here,
+      // unless the worker's world changed since emission (a crash bumped the
+      // incarnation, or it departed).
+      if (ev.incarnation == incarnation_[ev.worker] && down_[ev.worker] == DownKind::kUp) {
+        TryDispatch(ev.worker);
       }
       break;
-    }
-    case CoordEvent::Kind::kTaskStart: {
-      QueueEntry task = QueueEntry::Task(ev.job, ev.task_index, ev.duration, ev.is_long);
-      task.enqueue_time = ev.enqueue_time;
+    case SimEvent::Type::kTaskStart: {
+      QueueEntry task = QueueEntry::Task(ev.job, ev.task_index, ev.arg, ev.is_long);
+      task.enqueue_time = event.enqueue_time;
       policy_->OnTaskStart(ev.worker, task);
       break;
     }
-    case CoordEvent::Kind::kTaskFinish: {
-      if (!speculation_enabled_ ||
-          SpecCompletion(ev.job, ev.task_index, ev.duration, ev.speculative)) {
-        tracker_.OnTaskFinished(ev.job, now_);
-      }
-      if (!ev.speculative) {
-        policy_->OnTaskFinish(ev.worker, ev.job, ev.is_long);
-      }
+    case SimEvent::Type::kProbeArrive:
+    case SimEvent::Type::kTaskArrive:
+      LoseDelivery(ev);  // The phase found the delivery dead.
       break;
-    }
-    case CoordEvent::Kind::kLostProbe: {
-      LostProbe(ev.job, ev.is_long);
+    case SimEvent::Type::kTaskComplete:
+      CommitCompletion(ev);
       break;
-    }
-    case CoordEvent::Kind::kLostTask: {
-      LostTask(ev.job, ev.task_index, ev.duration, ev.is_long);
+    case SimEvent::Type::kSpecCheck:
+      Straggling(ev);  // The phase verified the watched copy's incarnation.
       break;
-    }
-    case CoordEvent::Kind::kSpecVanished: {
-      SpecCopyVanished(ev.job, ev.task_index, ev.duration, ev.is_long);
-      break;
-    }
-    case CoordEvent::Kind::kStraggling: {
-      // The phase verified the copy outlived the threshold and its worker's
-      // incarnation; here the speculation gate applies — at most one
-      // duplicate decision per logical task (phases cannot read spec_state_,
-      // so their checks fire unconditionally and are filtered here).
-      if (spec_state_.find(TaskKey(ev.job, ev.task_index)) != spec_state_.end()) {
-        break;
-      }
-      policy_->OnTaskStraggling(ev.job, ev.task_index, ev.duration, ev.is_long);
-      break;
-    }
-    case CoordEvent::Kind::kUtilSample: {
-      result_.utilization_samples.push_back(cluster_.Utilization());
-      if (!tracker_.AllJobsFinished()) {
-        CoordEvent sample;
-        sample.kind = CoordEvent::Kind::kUtilSample;
-        pending_.Push(now_ + config_.util_sample_period_us, sample);
-      }
-      break;
-    }
-    case CoordEvent::Kind::kIdleRetry: {
-      if (ev.incarnation != incarnation_[ev.worker]) {
-        break;
-      }
-      retry_pending_[ev.worker] = 0;
-      if (down_[ev.worker] == DownKind::kUp && workers.HasFreeSlot(ev.worker)) {
-        TryDispatchCoord(ev.worker);
-      }
-      break;
-    }
-    case CoordEvent::Kind::kCrashTick:
-    case CoordEvent::Kind::kDepartTick: {
-      HandleFaultTick(ev.kind);
-      break;
-    }
-    case CoordEvent::Kind::kWorkerRejoin: {
-      RejoinWorker(ev.worker);
-      break;
-    }
+    default:
+      HandleCoordinatorEvent(ev);
   }
 }
 
-void ShardedSimulationDriver::TryDispatchCoord(WorkerId worker) {
-  WorkerStore& workers = cluster_.workers();
-  bool steal_tried = false;
-  while (workers.HasFreeSlot(worker)) {
-    if (workers.QueueEmpty(worker)) {
-      if (!steal_tried) {
-        steal_tried = true;
-        policy_->OnWorkerIdle(worker);
-        if (!workers.QueueEmpty(worker)) {
-          continue;
-        }
-      }
-      MaybeArmStealRetry(worker);
-      return;
-    }
-    const QueueEntry entry = workers.PopFront(worker);
-    if (entry.kind == EntryKind::kTask) {
-      if (!entry.speculative) {
-        result_.counters.tasks_launched++;
-        RecordQueueWait(result_.counters, entry.is_long,
-                        SaturatingWait(now_, entry.enqueue_time));
-      }
-      StartExecuteCoord(worker, entry);
-      continue;
-    }
-    workers.BeginRequest(worker, entry.is_long);
-    result_.counters.probe_requests++;
-    PushRequest(worker, entry.job, entry.is_long, entry.enqueue_time);
-  }
-}
-
-void ShardedSimulationDriver::StartExecuteCoord(WorkerId worker, const QueueEntry& task) {
-  BeginExecutionAt(shards_[ShardOfWorker(worker)], worker, task, now_);
-  // Barrier context: policy feedback is synchronous, like the serial driver.
-  if (!task.speculative) {
-    policy_->OnTaskStart(worker, task);
-  }
-}
-
-void ShardedSimulationDriver::MaybeArmStealRetry(WorkerId worker) {
-  if (config_.steal_retry_interval_us > 0 && retry_pending_[worker] == 0 &&
-      !tracker_.AllJobsFinished() && StealRetryUseful()) {
-    retry_pending_[worker] = 1;
-    CoordEvent retry;
-    retry.kind = CoordEvent::Kind::kIdleRetry;
-    retry.worker = worker;
-    retry.incarnation = incarnation_[worker];
-    pending_.Push(now_ + config_.steal_retry_interval_us, retry);
-  }
-}
-
-bool ShardedSimulationDriver::StealRetryUseful() const {
-  if (!policy_can_steal_) {
-    return false;
-  }
-  if (faults_enabled_) {
-    return true;
-  }
-  return result_.counters.jobs < trace_->NumJobs() || cluster_.workers().TotalQueued() > 0 ||
-         InflightDeliveries() > 0;
-}
-
-uint64_t ShardedSimulationDriver::InflightDeliveries() const {
+uint64_t ShardedSimulationDriver::DeliveriesConsumed() const {
   uint64_t consumed = 0;
   for (const Shard& shard : shards_) {
     consumed += shard.deliveries_consumed;
   }
-  HAWK_CHECK_GE(deliveries_pushed_, consumed);
-  return deliveries_pushed_ - consumed;
-}
-
-// --- fault layer (barrier-only) ----------------------------------------------
-
-void ShardedSimulationDriver::ScheduleFaultTick(CoordEvent::Kind kind) {
-  const double rate_per_second = kind == CoordEvent::Kind::kCrashTick
-                                     ? config_.worker_crash_rate
-                                     : config_.worker_churn_rate;
-  const double mean_us = 1e6 / (rate_per_second * static_cast<double>(config_.num_workers));
-  const auto wait = static_cast<SimTime>(std::llround(fault_rng_.Exponential(mean_us)));
-  CoordEvent tick;
-  tick.kind = kind;
-  pending_.Push(now_ + std::max<SimTime>(wait, 1), tick);
-}
-
-void ShardedSimulationDriver::HandleFaultTick(CoordEvent::Kind kind) {
-  if (tracker_.AllJobsFinished()) {
-    return;
-  }
-  // Victim before re-arm: the stream reads (victim, next-wait) per tick,
-  // like the serial driver.
-  const auto victim =
-      static_cast<WorkerId>(fault_rng_.UniformInt(0, config_.num_workers - 1));
-  const bool up = down_[victim] == DownKind::kUp;
-  ScheduleFaultTick(kind);
-  if (!up) {
-    return;
-  }
-  if (kind == CoordEvent::Kind::kCrashTick) {
-    CrashWorker(victim);
-  } else {
-    DepartWorker(victim);
-  }
-}
-
-void ShardedSimulationDriver::CrashWorker(WorkerId worker) {
-  WorkerStore& workers = cluster_.workers();
-  result_.counters.worker_crashes++;
-  down_[worker] = DownKind::kCrashed;
-  ++incarnation_[worker];
-  retry_pending_[worker] = 0;
-  // Pooled teardown scratch: the coordinator owns both vectors and nothing on
-  // the re-dispatch paths below re-enters a crash/depart, so one of each is
-  // enough, and a warm crash costs no allocation. The swap leaves the
-  // worker's exec-record vector empty with the scratch's old capacity.
-  std::vector<QueueEntry>& drained = drain_scratch_;
-  drained.clear();
-  workers.DrainQueueInto(worker, &drained);
-  std::vector<ExecRecord>& killed = crash_exec_scratch_;
-  killed.clear();
-  if (track_exec_) {
-    killed.swap(exec_records_[worker]);
-  } else {
-    HAWK_CHECK_EQ(workers.ExecutingSlots(worker), 0u)
-        << "crash injection without exec tracking";
-  }
-  workers.ResetSlots(worker);
-  for (const QueueEntry& entry : drained) {
-    ReDispatchEntry(entry);
-  }
-  for (const ExecRecord& rec : killed) {
-    // The crash commits at the (clamped) barrier clock, which can sit just
-    // before a start that an overlapping phase window already processed;
-    // clamp the delivered share at zero rather than crediting negative work.
-    const DurationUs ran = std::max<SimTime>(0, now_ - rec.started_at);
-    workers.DeductBusyUs(worker, rec.actual_duration - ran);
-    const int64_t waste_delta = ran - (rec.actual_duration - rec.duration);
-    result_.counters.wasted_work_us = static_cast<uint64_t>(
-        static_cast<int64_t>(result_.counters.wasted_work_us) + waste_delta);
-    if (rec.speculative) {
-      SpecCopyVanished(rec.job, rec.task_index, rec.duration, rec.is_long);
-      continue;
-    }
-    if (speculation_enabled_) {
-      const uint64_t key = TaskKey(rec.job, rec.task_index);
-      auto it = spec_state_.find(key);
-      if (it != spec_state_.end()) {
-        SpecState& st = it->second;
-        st.primary_owned = false;
-        if (!st.done && st.spec_outstanding == 0) {
-          st.primary_owned = true;
-          LostTask(rec.job, rec.task_index, rec.duration, rec.is_long);
-        }
-        MaybeEraseSpec(key);
-        continue;
-      }
-    }
-    LostTask(rec.job, rec.task_index, rec.duration, rec.is_long);
-  }
-  CoordEvent rejoin;
-  rejoin.kind = CoordEvent::Kind::kWorkerRejoin;
-  rejoin.worker = worker;
-  pending_.Push(now_ + config_.worker_downtime_us, rejoin);
-}
-
-void ShardedSimulationDriver::DepartWorker(WorkerId worker) {
-  WorkerStore& workers = cluster_.workers();
-  result_.counters.worker_departures++;
-  down_[worker] = DownKind::kDeparted;
-  std::vector<QueueEntry>& drained = drain_scratch_;
-  drained.clear();
-  workers.DrainQueueInto(worker, &drained);
-  for (const QueueEntry& entry : drained) {
-    ReDispatchEntry(entry);
-  }
-  CoordEvent rejoin;
-  rejoin.kind = CoordEvent::Kind::kWorkerRejoin;
-  rejoin.worker = worker;
-  pending_.Push(now_ + config_.worker_downtime_us, rejoin);
-}
-
-void ShardedSimulationDriver::RejoinWorker(WorkerId worker) {
-  down_[worker] = DownKind::kUp;
-  result_.counters.worker_rejoins++;
-  TryDispatchCoord(worker);
-}
-
-void ShardedSimulationDriver::ReDispatchEntry(const QueueEntry& entry) {
-  if (entry.kind == EntryKind::kTask) {
-    if (entry.speculative) {
-      SpecCopyVanished(entry.job, entry.task_index, entry.duration, entry.is_long);
-    } else {
-      LostTask(entry.job, entry.task_index, entry.duration, entry.is_long);
-    }
-  } else {
-    LostProbe(entry.job, entry.is_long);
-  }
-}
-
-void ShardedSimulationDriver::LostProbe(JobId job, bool is_long) {
-  result_.counters.probes_lost++;
-  policy_->OnProbeLost(job, is_long);
-}
-
-void ShardedSimulationDriver::LostTask(JobId job, TaskIndex task_index, DurationUs duration,
-                                       bool is_long) {
-  tracker_.ReturnTask(job, TaskAssignment{task_index, duration});
-  result_.counters.tasks_re_dispatched++;
-  policy_->OnTaskLost(job, is_long);
-}
-
-void ShardedSimulationDriver::SpecCopyVanished(JobId job, TaskIndex task_index,
-                                               DurationUs duration, bool is_long) {
-  const uint64_t key = TaskKey(job, task_index);
-  auto it = spec_state_.find(key);
-  HAWK_CHECK(it != spec_state_.end()) << "speculative copy of job " << job << " task "
-                                      << task_index << " has no state";
-  SpecState& st = it->second;
-  HAWK_CHECK_GT(st.spec_outstanding, 0u);
-  --st.spec_outstanding;
-  if (!st.done && st.spec_outstanding == 0 && !st.primary_owned) {
-    st.primary_owned = true;
-    LostTask(job, task_index, duration, is_long);
-  }
-  MaybeEraseSpec(key);
-}
-
-bool ShardedSimulationDriver::SpecCompletion(JobId job, TaskIndex task_index,
-                                             DurationUs duration, bool speculative) {
-  const uint64_t key = TaskKey(job, task_index);
-  auto it = spec_state_.find(key);
-  if (it == spec_state_.end()) {
-    HAWK_CHECK(!speculative) << "speculative completion without state";
-    return true;
-  }
-  SpecState& st = it->second;
-  if (speculative) {
-    HAWK_CHECK_GT(st.spec_outstanding, 0u);
-    --st.spec_outstanding;
-  } else {
-    st.primary_owned = false;
-  }
-  const bool first = !st.done;
-  if (first) {
-    st.done = true;
-    if (speculative) {
-      ++result_.counters.speculative_wins;
-    }
-  } else {
-    ++result_.counters.duplicate_completions;
-    result_.counters.speculative_wasted_us += static_cast<uint64_t>(duration);
-    result_.counters.wasted_work_us += static_cast<uint64_t>(duration);
-  }
-  MaybeEraseSpec(key);
-  return first;
-}
-
-void ShardedSimulationDriver::MaybeEraseSpec(uint64_t key) {
-  auto it = spec_state_.find(key);
-  if (it != spec_state_.end() && it->second.spec_outstanding == 0 &&
-      !it->second.primary_owned) {
-    HAWK_CHECK(it->second.done) << "speculation state dropped with the task unfinished";
-    spec_state_.erase(it);
-  }
+  return consumed;
 }
 
 // --- shard phases (worker-local) ---------------------------------------------
@@ -849,99 +354,41 @@ void ShardedSimulationDriver::RunShardPhase(Shard& shard, SimTime t_end) {
   WorkerStore& workers = cluster_.workers();
   while (!shard.queue.Empty() && shard.queue.PeekTime() < t_end) {
     const auto popped = shard.queue.Pop();
-    const ShardEvent& ev = popped.payload;
+    const SimEvent& ev = popped.payload;
     const SimTime at = popped.at;
     shard.counters.events++;
     switch (ev.type) {
-      case ShardEvent::Type::kProbeArrive: {
+      case SimEvent::Type::kProbeArrive:
+      case SimEvent::Type::kTaskArrive:
         ++shard.deliveries_consumed;
-        if ((ev.flags & ShardEvent::kFlagAbandoned) != 0 ||
-            ev.incarnation != incarnation_[ev.worker] || down_[ev.worker] != DownKind::kUp) {
-          OutRecord rec;
-          rec.due = at;
-          rec.event.kind = CoordEvent::Kind::kLostProbe;
-          rec.event.worker = ev.worker;
-          rec.event.job = ev.job;
-          rec.event.is_long = ev.is_long;
-          shard.outbox.push_back(rec);
+        if (DeliveryDead(ev)) {
+          Emit(shard, at, ev);
           break;
         }
-        QueueEntry entry = QueueEntry::Probe(ev.job, ev.is_long);
-        entry.enqueue_time = at;
-        workers.Enqueue(ev.worker, entry);
+        workers.Enqueue(ev.worker, DeliveredEntry(ev, at));
         TryDispatchLocal(shard, ev.worker, at);
         break;
-      }
-      case ShardEvent::Type::kTaskArrive: {
-        ++shard.deliveries_consumed;
-        const bool speculative = (ev.flags & ShardEvent::kFlagSpeculative) != 0;
-        if ((ev.flags & ShardEvent::kFlagAbandoned) != 0 ||
-            ev.incarnation != incarnation_[ev.worker] || down_[ev.worker] != DownKind::kUp) {
-          if ((ev.flags & ShardEvent::kFlagAbandoned) != 0) {
-            ++shard.counters.tasks_abandoned;
-          }
-          OutRecord rec;
-          rec.due = at;
-          rec.event.kind = speculative ? CoordEvent::Kind::kSpecVanished
-                                       : CoordEvent::Kind::kLostTask;
-          rec.event.worker = ev.worker;
-          rec.event.job = ev.job;
-          rec.event.task_index = ev.task_index;
-          rec.event.duration = ev.arg;
-          rec.event.is_long = ev.is_long;
-          shard.outbox.push_back(rec);
-          break;
-        }
-        QueueEntry entry = QueueEntry::Task(ev.job, ev.task_index, ev.arg, ev.is_long);
-        entry.speculative = speculative;
-        entry.enqueue_time = at;
-        workers.Enqueue(ev.worker, entry);
-        TryDispatchLocal(shard, ev.worker, at);
-        break;
-      }
-      case ShardEvent::Type::kTaskComplete: {
+      case SimEvent::Type::kTaskComplete:
         if (ev.incarnation != incarnation_[ev.worker]) {
           break;
         }
-        workers.FinishExecute(ev.worker, ev.is_long);
-        if (track_exec_) {
-          DropExecRecord(ev.worker, ev.job, ev.task_index,
-                         (ev.flags & ShardEvent::kFlagSpeculative) != 0);
-        }
-        OutRecord rec;
-        rec.due = at;
-        rec.event.kind = CoordEvent::Kind::kTaskFinish;
-        rec.event.worker = ev.worker;
-        rec.event.job = ev.job;
-        rec.event.task_index = ev.task_index;
-        rec.event.duration = ev.arg;
-        rec.event.is_long = ev.is_long;
-        rec.event.speculative = (ev.flags & ShardEvent::kFlagSpeculative) != 0;
-        shard.outbox.push_back(rec);
+        EndExecution(ev);
+        Emit(shard, at, ev);
         if (down_[ev.worker] == DownKind::kUp) {
           TryDispatchLocal(shard, ev.worker, at);
         }
         break;
-      }
-      case ShardEvent::Type::kSpecCheck: {
-        if (ev.incarnation != incarnation_[ev.worker]) {
-          break;
-        }
+      case SimEvent::Type::kSpecCheck:
         // The watched copy is provably still running (checks only get
         // scheduled when the stretch outlives the threshold, and this
         // worker's completion pops after the check). The speculation gate
         // itself lives at the barrier.
-        OutRecord rec;
-        rec.due = at;
-        rec.event.kind = CoordEvent::Kind::kStraggling;
-        rec.event.worker = ev.worker;
-        rec.event.job = ev.job;
-        rec.event.task_index = ev.task_index;
-        rec.event.duration = ev.arg;
-        rec.event.is_long = ev.is_long;
-        shard.outbox.push_back(rec);
+        if (ev.incarnation == incarnation_[ev.worker]) {
+          Emit(shard, at, ev);
+        }
         break;
-      }
+      default:
+        HAWK_CHECK(false) << "coordinator event in a shard queue";
     }
   }
 }
@@ -951,97 +398,54 @@ void ShardedSimulationDriver::TryDispatchLocal(Shard& shard, WorkerId worker, Si
   while (workers.HasFreeSlot(worker)) {
     if (workers.QueueEmpty(worker)) {
       // Stealing is cross-worker, so the idle transition is handed to the
-      // barrier; guards there skip it if the worker's state moved on. This is
-      // the sharded executor's sanctioned timing divergence: a steal lands at
-      // the idle transition's commit time, not instantaneously.
-      OutRecord rec;
-      rec.due = at;
-      rec.event.kind = CoordEvent::Kind::kIdle;
-      rec.event.worker = worker;
-      rec.event.incarnation = incarnation_[worker];
-      shard.outbox.push_back(rec);
+      // barrier; guards there skip it if the worker's state moved on.
+      Emit(shard, at, Stamped(SimEvent::Of(SimEvent::Type::kWorkerIdle, worker)));
       return;
     }
     const QueueEntry entry = workers.PopFront(worker);
     if (entry.kind == EntryKind::kTask) {
       if (!entry.speculative) {
-        shard.counters.tasks_launched++;
-        RecordQueueWait(shard.counters, entry.is_long,
-                        SaturatingWait(at, entry.enqueue_time));
+        RecordLaunch(shard.counters, entry.is_long, SaturatingWait(at, entry.enqueue_time));
       }
       BeginExecutionAt(shard, worker, entry, at);
       if (!entry.speculative) {
         // Phase context: policy feedback travels as a record.
-        OutRecord rec;
-        rec.due = at;
-        rec.event.kind = CoordEvent::Kind::kTaskStart;
-        rec.event.worker = worker;
-        rec.event.job = entry.job;
-        rec.event.task_index = entry.task_index;
-        rec.event.duration = entry.duration;
-        rec.event.is_long = entry.is_long;
-        rec.event.enqueue_time = entry.enqueue_time;
-        shard.outbox.push_back(rec);
+        Emit(shard, at, SimEvent::OfTask(SimEvent::Type::kTaskStart, worker, entry),
+             entry.enqueue_time);
       }
       continue;
     }
     workers.BeginRequest(worker, entry.is_long);
     shard.counters.probe_requests++;
-    OutRecord rec;
-    rec.due = at + 2 * config_.net_delay_us;
-    rec.event.kind = CoordEvent::Kind::kRequest;
-    rec.event.worker = worker;
-    rec.event.job = entry.job;
-    rec.event.is_long = entry.is_long;
-    rec.event.enqueue_time = entry.enqueue_time;
-    rec.event.incarnation = incarnation_[worker];
-    shard.outbox.push_back(rec);
+    Emit(shard, at + 2 * config_.net_delay_us,
+         Stamped(SimEvent::RequestResolve(worker, entry.job, entry.is_long, entry.enqueue_time)));
   }
+}
+
+void ShardedSimulationDriver::Emit(Shard& shard, SimTime due, const SimEvent& ev,
+                                   SimTime enqueue_time) {
+  OutRecord rec;
+  rec.due = due;
+  rec.event.ev = ev;
+  rec.event.enqueue_time = enqueue_time;
+  shard.outbox.push_back(rec);
 }
 
 void ShardedSimulationDriver::BeginExecutionAt(Shard& shard, WorkerId worker,
                                                const QueueEntry& task, SimTime at) {
-  HAWK_CHECK(!task.is_long || cluster_.InGeneralPartition(worker))
-      << "long task on short-partition worker " << worker;
   DurationUs actual = task.duration;
   if (stragglers_on_ && StragglerDraw(worker)) {
-    actual = std::max(task.duration,
-                      static_cast<DurationUs>(std::llround(
-                          static_cast<double>(task.duration) *
-                          config_.straggler_slowdown_factor)));
+    actual = Stretched(task.duration);
     shard.counters.wasted_work_us += static_cast<uint64_t>(actual - task.duration);
   }
-  QueueEntry charged = task;
-  charged.duration = actual;
-  cluster_.workers().BeginExecute(worker, at, charged);
-  if (track_exec_) {
-    exec_records_[worker].push_back(ExecRecord{task.job, task.task_index, task.duration,
-                                               actual, at, task.is_long, task.speculative});
+  OccupySlot(worker, task, actual, at);
+  const SimTime delay = task.speculative ? 0 : SpecCheckDelay(task.job);
+  if (delay > 0 && delay < actual) {
+    shard.queue.Push(at + delay,
+                     Stamped(SimEvent::OfTask(SimEvent::Type::kSpecCheck, worker, task)));
   }
-  if (speculation_enabled_ && !task.speculative) {
-    const DurationUs estimate = tracker_.EstimateUs(task.job);
-    if (estimate > 0) {
-      const auto delay = std::max<SimTime>(
-          1, static_cast<SimTime>(
-                 std::llround(spec_threshold_ * static_cast<double>(estimate))));
-      if (delay < actual) {
-        // Unlike the serial driver, no spec_state_ look-aside here: phases
-        // cannot read coordinator state, so the check is scheduled
-        // unconditionally and the barrier filters already-speculated tasks.
-        ShardEvent check =
-            ShardEvent::SpecCheck(worker, task.job, task.task_index, task.duration, task.is_long);
-        check.incarnation = incarnation_[worker];
-        shard.queue.Push(at + delay, check);
-      }
-    }
-  }
-  ShardEvent complete =
-      ShardEvent::TaskComplete(worker, task.job, task.task_index, task.duration, task.is_long);
-  if (task.speculative) {
-    complete.flags |= ShardEvent::kFlagSpeculative;
-  }
-  complete.incarnation = incarnation_[worker];
-  shard.queue.Push(at + actual, complete);
+  shard.queue.Push(at + actual,
+                   Stamped(SimEvent::OfTask(SimEvent::Type::kTaskComplete, worker, task)));
 }
 
 bool ShardedSimulationDriver::StragglerDraw(WorkerId worker) {
@@ -1056,21 +460,6 @@ bool ShardedSimulationDriver::StragglerDraw(WorkerId worker) {
   x ^= x >> 31;
   const double unit = static_cast<double>(x >> 11) * 0x1.0p-53;
   return unit < config_.straggler_rate;
-}
-
-void ShardedSimulationDriver::DropExecRecord(WorkerId worker, JobId job, TaskIndex task_index,
-                                             bool speculative) {
-  std::vector<ExecRecord>& records = exec_records_[worker];
-  for (size_t i = 0; i < records.size(); ++i) {
-    if (records[i].job == job && records[i].task_index == task_index &&
-        records[i].speculative == speculative) {
-      records[i] = records.back();
-      records.pop_back();
-      return;
-    }
-  }
-  HAWK_CHECK(false) << "no exec record for job " << job << " task " << task_index
-                    << " on worker " << worker;
 }
 
 // --- phase thread pool -------------------------------------------------------
@@ -1150,9 +539,11 @@ void ShardedSimulationDriver::WorkerLoop() {
     if (!advanced) {
       std::unique_lock<std::mutex> lock(mu_);
       ++sleepers_;
+      // Acquire: the predicate can see the bump before the coordinator takes
+      // mu_, so the mutex alone does not order phase_end_ before the read.
       cv_start_.wait(lock, [this, seen] {
         return stop_.load(std::memory_order_relaxed) ||
-               generation_.v.load(std::memory_order_relaxed) != seen;
+               generation_.v.load(std::memory_order_acquire) != seen;
       });
       --sleepers_;
       if (stop_.load(std::memory_order_relaxed)) {
@@ -1192,22 +583,6 @@ void ShardedSimulationDriver::StopPool() {
   threads_.clear();
   pool_size_ = 0;
   stop_.store(false, std::memory_order_relaxed);
-}
-
-void ShardedSimulationDriver::CollectResults() {
-  result_.total_busy_us = cluster_.TotalBusyUs();
-  result_.jobs.reserve(trace_->NumJobs());
-  for (const Job& job : trace_->jobs()) {
-    JobResult r;
-    r.id = job.id;
-    r.is_long = tracker_.IsLongMetrics(job.id);
-    r.submit_time = job.submit_time;
-    r.finish_time = tracker_.FinishTime(job.id);
-    HAWK_CHECK_GE(r.finish_time, r.submit_time);
-    r.runtime_us = r.finish_time - r.submit_time;
-    result_.makespan_us = std::max(result_.makespan_us, r.finish_time);
-    result_.jobs.push_back(r);
-  }
 }
 
 }  // namespace hawk

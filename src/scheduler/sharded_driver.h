@@ -35,6 +35,11 @@
 // (epoch coalescing): the coordinator advances horizon after horizon without
 // waking the phase pool, which an empty phase could not have influenced.
 //
+// Everything the barrier does with a record — dispatch, late-binding resolve,
+// completion commit, the fault and recovery ledger — is DriverCore's
+// (driver_core.h), shared with the serial driver; this file adds the epochs,
+// the phases, the outbox merge and the pool.
+//
 // The phase pool is persistent and lock-light: workers spin briefly on an
 // epoch generation counter before parking on a condvar, claim shards off a
 // shared atomic cursor, and publish per-shard ready flags (merge gate) plus a
@@ -45,10 +50,7 @@
 // Determinism contract: for a fixed config (including sim_shards > 1) the
 // RunResult is bit-identical across sim_threads values, and identical across
 // sim_shards values > 1. Results are a sanctioned, golden-pinned divergence
-// from the serial driver (sim_shards == 1): steals commit at epoch barriers
-// instead of instantaneously, policy feedback is reordered into (time,
-// worker) record order, and straggler draws use stateless per-worker
-// substreams instead of the serial driver's single fault stream.
+// from the serial driver (sim_shards == 1), listed in driver_core.h.
 #ifndef HAWK_SCHEDULER_SHARDED_DRIVER_H_
 #define HAWK_SCHEDULER_SHARDED_DRIVER_H_
 
@@ -56,27 +58,20 @@
 #include <condition_variable>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "src/cluster/cluster.h"
-#include "src/cluster/job_tracker.h"
-#include "src/cluster/results.h"
-#include "src/core/adaptive_timeout.h"
-#include "src/core/hawk_config.h"
-#include "src/core/job_classifier.h"
-#include "src/scheduler/policy.h"
+#include "src/scheduler/driver_core.h"
 #include "src/sim/event_queue.h"
-#include "src/workload/trace.h"
 
 namespace hawk {
 
-class ShardedSimulationDriver : public SchedulerContext {
+class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
  public:
   // `general_count` defines the partition split (pass num_workers for
   // unpartitioned baselines). The trace and policy must outlive the driver.
   // Requires config.sim_shards >= 2 (callers route sim_shards == 1 to the
-  // serial SimulationDriver, which stays byte-identical to history).
+  // serial SimulationDriver). Policies are invoked exclusively from the
+  // single-threaded coordinator, never from a shard phase.
   ShardedSimulationDriver(const Trace* trace, const HawkConfig& config, uint32_t general_count,
                           SchedulerPolicy* policy);
   ~ShardedSimulationDriver() override;
@@ -85,119 +80,18 @@ class ShardedSimulationDriver : public SchedulerContext {
   // by job id), utilization samples and merged counters.
   RunResult Run();
 
-  // --- SchedulerContext ----------------------------------------------------
-  // All context methods are barrier-only: policies are invoked exclusively
-  // from the single-threaded coordinator, never from a shard phase.
-  SimTime Now() const override { return now_; }
-  Rng& SchedRng() override { return sched_rng_; }
-  Cluster& GetCluster() override { return cluster_; }
-  JobTracker& Tracker() override { return tracker_; }
-  RunCounters& Counters() override { return result_.counters; }
-  void PlaceProbe(WorkerId worker, JobId job, bool is_long) override;
-  void PlaceTask(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
-                 bool is_long) override;
-  void PlaceSpeculative(WorkerId worker, JobId job, TaskIndex task_index, DurationUs duration,
-                        bool is_long) override;
-  void DeliverStolen(WorkerId thief, const std::vector<QueueEntry>& entries) override;
-
  private:
-  // Worker-local event, processed inside a shard phase. Mirrors the serial
-  // driver's SimEvent minus the coordinator-only kinds (request resolution,
-  // timers, fault ticks), which live in CoordEvent instead. Construct via the
-  // named factories.
-  struct ShardEvent {
-    enum class Type : uint8_t {
-      kProbeArrive,
-      kTaskArrive,
-      kTaskComplete,
-      kSpecCheck,
-    };
-    static constexpr uint8_t kFlagSpeculative = 1;
-    static constexpr uint8_t kFlagAbandoned = 2;
-    Type type = Type::kProbeArrive;
-    bool is_long = false;
-    uint8_t flags = 0;
-    WorkerId worker = kInvalidWorker;
-    JobId job = kInvalidJob;
-    TaskIndex task_index = 0;
-    // Task duration for kTaskArrive / kTaskComplete / kSpecCheck (nominal).
-    int64_t arg = 0;
-    // Incarnation of `worker` this event was addressed to; see the serial
-    // driver — a crash bumps it, staling everything already in flight.
-    uint32_t incarnation = 0;
+  friend class DriverCore<ShardedSimulationDriver>;
 
-    static ShardEvent ProbeArrive(WorkerId worker, JobId job, bool is_long) {
-      ShardEvent e;
-      e.type = Type::kProbeArrive;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      return e;
-    }
-    static ShardEvent TaskArrive(WorkerId worker, JobId job, TaskIndex task_index,
-                                 DurationUs duration, bool is_long) {
-      ShardEvent e;
-      e.type = Type::kTaskArrive;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.task_index = task_index;
-      e.arg = duration;
-      return e;
-    }
-    static ShardEvent TaskComplete(WorkerId worker, JobId job, TaskIndex task_index,
-                                   DurationUs duration, bool is_long) {
-      ShardEvent e;
-      e.type = Type::kTaskComplete;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.task_index = task_index;
-      e.arg = duration;
-      return e;
-    }
-    static ShardEvent SpecCheck(WorkerId worker, JobId job, TaskIndex task_index,
-                                DurationUs duration, bool is_long) {
-      ShardEvent e;
-      e.type = Type::kSpecCheck;
-      e.is_long = is_long;
-      e.worker = worker;
-      e.job = job;
-      e.task_index = task_index;
-      e.arg = duration;
-      return e;
-    }
-  };
-
-  // Coordinator-side event: either a cross-worker record emitted by a shard
-  // phase (committed at the next barrier) or a coordinator-owned timer.
+  // Coordinator queue payload: a timer or request pushed at a barrier, or a
+  // record a shard phase emitted. A phase hands over worker-local events
+  // whose cross-worker half belongs to the barrier: dead deliveries
+  // (kProbeArrive/kTaskArrive), completions (kTaskComplete), live
+  // speculation checks (kSpecCheck), requests (kRequestResolve), plus the
+  // record-only kWorkerIdle and kTaskStart.
   struct CoordEvent {
-    enum class Kind : uint8_t {
-      // Phase records.
-      kIdle,         // Worker went idle with an empty queue: steal opportunity.
-      kRequest,      // Late-binding probe request; resolves one RTT later.
-      kTaskStart,    // Non-speculative execution started: policy feedback.
-      kTaskFinish,   // Execution completed: tracker + policy feedback.
-      kLostProbe,    // Delivery died (stale/down/abandoned): replace probe.
-      kLostTask,     // Task delivery died: hand back for re-dispatch.
-      kSpecVanished, // A speculative duplicate ceased to exist uncompleted.
-      kStraggling,   // A watched copy outlived the speculation threshold.
-      // Coordinator timers.
-      kUtilSample,
-      kIdleRetry,
-      kCrashTick,
-      kDepartTick,
-      kWorkerRejoin,
-    };
-    Kind kind = Kind::kUtilSample;
-    bool is_long = false;
-    bool speculative = false;
-    WorkerId worker = kInvalidWorker;
-    JobId job = kInvalidJob;
-    TaskIndex task_index = 0;
-    DurationUs duration = 0;   // Nominal task duration, where applicable.
-    SimTime enqueue_time = 0;  // Original entry placement time (kRequest).
-    uint32_t incarnation = 0;
+    SimEvent ev;
+    SimTime enqueue_time = 0;  // kTaskStart: the started entry's placement time.
   };
 
   // A phase-emitted record with its commit time: outboxes are merged by
@@ -205,26 +99,6 @@ class ShardedSimulationDriver : public SchedulerContext {
   struct OutRecord {
     SimTime due = 0;
     CoordEvent event;
-  };
-
-  enum class DownKind : uint8_t { kUp = 0, kCrashed, kDeparted };
-
-  // In-flight execution record; see the serial driver.
-  struct ExecRecord {
-    JobId job;
-    TaskIndex task_index;
-    DurationUs duration;
-    DurationUs actual_duration;
-    SimTime started_at;
-    bool is_long;
-    bool speculative;
-  };
-
-  // Per-task speculation state; see the serial driver.
-  struct SpecState {
-    uint8_t spec_outstanding = 0;
-    bool done = false;
-    bool primary_owned = true;
   };
 
   // One worker shard: a contiguous worker-id range, its event queue (lane 0
@@ -239,7 +113,7 @@ class ShardedSimulationDriver : public SchedulerContext {
   struct alignas(64) Shard {
     WorkerId begin = 0;
     WorkerId end = 0;
-    alignas(64) sim::MultiLaneEventQueue<ShardEvent, 1> queue;
+    alignas(64) sim::MultiLaneEventQueue<SimEvent, 1> queue;
     std::vector<OutRecord> outbox;
     RunCounters counters;
     uint64_t deliveries_consumed = 0;  // Feeds the in-flight delivery count.
@@ -262,45 +136,39 @@ class ShardedSimulationDriver : public SchedulerContext {
 
   static constexpr size_t kLaneDelivery = 0;
 
-  static uint64_t TaskKey(JobId job, TaskIndex task_index) {
-    return (static_cast<uint64_t>(job) << 32) | task_index;
-  }
-
-  // Queue waits can go negative under barrier-retroactive commits (a steal
-  // commits at a barrier whose clock is ahead of the thief's next phase
-  // event); clamp at zero instead of wrapping the uint64 accumulators.
-  static DurationUs SaturatingWait(SimTime now, SimTime enqueued_at) {
-    return now > enqueued_at ? now - enqueued_at : 0;
-  }
-
   // --- coordinator (barrier) side ------------------------------------------
-  void ArriveJob(const Job& job);
-  void ProcessCoordEvent(const CoordEvent& ev);
-  void TryDispatchCoord(WorkerId worker);
-  void StartExecuteCoord(WorkerId worker, const QueueEntry& task);
-  void PushDelivery(ShardEvent ev);
-  void PushRequest(WorkerId worker, JobId job, bool is_long, SimTime enqueued_at);
-  void MaybeArmStealRetry(WorkerId worker);
-  bool StealRetryUseful() const;
-  uint64_t InflightDeliveries() const;
-  void ScheduleFaultTick(CoordEvent::Kind kind);
-  void HandleFaultTick(CoordEvent::Kind kind);
-  void CrashWorker(WorkerId worker);
-  void DepartWorker(WorkerId worker);
-  void RejoinWorker(WorkerId worker);
-  void ReDispatchEntry(const QueueEntry& entry);
-  void LostProbe(JobId job, bool is_long);
-  void LostTask(JobId job, TaskIndex task_index, DurationUs duration, bool is_long);
-  void SpecCopyVanished(JobId job, TaskIndex task_index, DurationUs duration, bool is_long);
-  bool SpecCompletion(JobId job, TaskIndex task_index, DurationUs duration, bool speculative);
-  void MaybeEraseSpec(uint64_t key);
+  void Commit(const CoordEvent& event);
   // Folds every shard's sorted outbox into pending_, two-way merging runs as
   // their ready flags appear (overlapping with late phases), then waits for
   // the pool's done counter so the next barrier owns all state again.
   void MergeOutboxes();
   void MergeRun(const std::vector<OutRecord>& run);
   static bool RecordLess(const OutRecord& a, const OutRecord& b);
-  void CollectResults();
+
+  // --- DriverCore hooks ----------------------------------------------------
+  void QueueDelivery(SimTime at, const SimEvent& ev, bool monotone) {
+    // The coordinator clock is monotone (clamped), so fault-free deliveries
+    // keep the O(1) monotone lane even though epoch windows overlap.
+    auto& queue = shards_[ShardOfWorker(ev.worker)].queue;
+    if (monotone) {
+      queue.PushLane(kLaneDelivery, at, ev);
+    } else {
+      queue.Push(at, ev);
+    }
+  }
+  void QueueTimer(SimTime at, const SimEvent& ev) {
+    CoordEvent event;
+    event.ev = ev;
+    pending_.Push(at, event);
+  }
+  // Barrier grant: policy feedback is synchronous, like the serial driver.
+  void StartExecution(WorkerId worker, const QueueEntry& task) {
+    BeginExecutionAt(shards_[ShardOfWorker(worker)], worker, task, now_);
+    if (!task.speculative) {
+      policy_->OnTaskStart(worker, task);
+    }
+  }
+  uint64_t DeliveriesConsumed() const;
 
   // --- shard (phase) side --------------------------------------------------
   // Drains shard events strictly before `t_end`. Worker-local only: may touch
@@ -309,16 +177,17 @@ class ShardedSimulationDriver : public SchedulerContext {
   // shared RNGs.
   void RunShardPhase(Shard& shard, SimTime t_end);
   void TryDispatchLocal(Shard& shard, WorkerId worker, SimTime at);
-  // Occupies a slot and schedules the completion (and speculation check).
-  // Shared by the phase path and the barrier grant path; the caller owns the
-  // policy feedback (kTaskStart record vs synchronous OnTaskStart).
+  static void Emit(Shard& shard, SimTime due, const SimEvent& ev, SimTime enqueue_time = 0);
+  // Occupies a slot and schedules the completion (and speculation check,
+  // unconditionally: phases cannot read the speculation table). Shared by
+  // the phase path and the barrier grant path; the caller owns the policy
+  // feedback (kTaskStart record vs synchronous OnTaskStart).
   void BeginExecutionAt(Shard& shard, WorkerId worker, const QueueEntry& task, SimTime at);
   // Stateless per-worker straggler substream: draw i for worker w hashes
   // (salt, w, i), so the draw a given execution sees does not depend on shard
   // count or thread interleaving — the sharded executor's sanctioned RNG
   // divergence from the serial driver's single fault stream.
   bool StragglerDraw(WorkerId worker);
-  void DropExecRecord(WorkerId worker, JobId job, TaskIndex task_index, bool speculative);
 
   // --- phase thread pool ---------------------------------------------------
   uint32_t ShardOfWorker(WorkerId worker) const;
@@ -332,15 +201,6 @@ class ShardedSimulationDriver : public SchedulerContext {
   void WorkerLoop();
   void StopPool();
 
-  const Trace* trace_;
-  HawkConfig config_;
-  SchedulerPolicy* policy_;
-  Cluster cluster_;
-  JobTracker tracker_;
-  JobClassifier classifier_;
-  Rng sched_rng_;
-  SimTime now_ = 0;
-  RunResult result_;
   DurationUs horizon_us_ = 1;
 
   // Coordinator pending queue: phase records + coordinator timers, ordered by
@@ -351,41 +211,12 @@ class ShardedSimulationDriver : public SchedulerContext {
   std::vector<OutRecord> merge_acc_;
   std::vector<OutRecord> merge_tmp_;
   std::vector<uint8_t> merge_taken_;
-  // Pooled fault-path scratch (coordinator-owned; see CrashWorker).
-  std::vector<QueueEntry> drain_scratch_;
-  std::vector<ExecRecord> crash_exec_scratch_;
-
   std::vector<Shard> shards_;
   std::vector<WorkerId> shard_begin_;  // shard_begin_[s] = first worker of s.
 
-  // Steal-retry extension state (coordinator-owned).
-  std::vector<uint8_t> retry_pending_;
-
-  // --- fault state (coordinator-owned unless noted) ------------------------
-  Rng fault_rng_;
-  bool faults_enabled_ = false;
-  bool net_faulty_ = false;
-  bool track_exec_ = false;
-  bool stragglers_on_ = false;
-  bool speculation_enabled_ = false;
-  double spec_threshold_ = 0.0;
-  AdaptiveTimeout rto_;
-  uint64_t delivery_seq_ = 0;
-  std::unordered_map<uint64_t, SpecState> spec_state_;
-  bool policy_can_steal_ = false;
-  // Phases read these for staleness checks; only the coordinator writes them.
-  std::vector<uint32_t> incarnation_;
-  std::vector<DownKind> down_;
-  // Per-worker in-flight tasks (phase-owned during phases, coordinator-owned
-  // at barriers); empty vectors unless track_exec_.
-  std::vector<std::vector<ExecRecord>> exec_records_;
-  uint64_t deliveries_pushed_ = 0;
   // Straggler substream position per worker (same ownership as exec records).
   uint64_t straggler_salt_ = 0;
   std::vector<uint64_t> straggler_seq_;
-
-  // Epoch coalescing toggle (config-mirrored; non-semantic).
-  bool coalesce_ = true;
 
   // Persistent phase pool. An epoch starts when the coordinator bumps
   // `generation_` (workers spin briefly on it, then park on cv_start_);

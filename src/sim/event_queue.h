@@ -3,8 +3,8 @@
 // Events are ordered by (time, sequence number): the sequence number makes
 // simultaneous events pop in insertion order, which keeps runs deterministic
 // and independent of heap internals. The payload type is a template parameter
-// so the scheduler driver can use a compact POD event on its hot path while
-// tests and the generic Simulation wrapper use callback payloads.
+// so the scheduler drivers can use a compact POD event on their hot paths
+// while tests use simple payloads.
 //
 // Layout and shape are tuned for the driver's hot loop:
 //   - 4-ary instead of binary: half the depth, and all four children of a

@@ -292,14 +292,17 @@ TEST(RecoveryConservationTest, StragglersPreserveWorkConservation) {
   config.straggler_rate = 0.2;
   config.straggler_slowdown_factor = 4.0;
   config.fault_seed = EnvFaultSeed(0);
-  for (const std::string& scheduler : SchedulerRegistry::Global().Names()) {
-    SCOPED_TRACE(scheduler);
-    const RunResult result = RunExperiment(trace, config, scheduler);
-    ASSERT_EQ(result.jobs.size(), trace.NumJobs());
-    EXPECT_GT(result.counters.wasted_work_us, 0u);
-    EXPECT_EQ(result.total_busy_us,
-              static_cast<uint64_t>(trace.TotalWorkUs()) + result.counters.wasted_work_us);
-    EXPECT_EQ(result.counters.tasks_launched, trace.TotalTasks());
+  for (const uint32_t shards : {1u, 4u}) {
+    config.sim_shards = shards;
+    for (const std::string& scheduler : SchedulerRegistry::Global().Names()) {
+      SCOPED_TRACE(scheduler + " shards=" + std::to_string(shards));
+      const RunResult result = RunExperiment(trace, config, scheduler);
+      ASSERT_EQ(result.jobs.size(), trace.NumJobs());
+      EXPECT_GT(result.counters.wasted_work_us, 0u);
+      EXPECT_EQ(result.total_busy_us,
+                static_cast<uint64_t>(trace.TotalWorkUs()) + result.counters.wasted_work_us);
+      EXPECT_EQ(result.counters.tasks_launched, trace.TotalTasks());
+    }
   }
 }
 
@@ -315,14 +318,18 @@ TEST(RecoveryConservationTest, SpeculationWinsAndChargesLosers) {
   config.straggler_rate = 0.25;
   config.straggler_slowdown_factor = 16.0;
   config.fault_seed = EnvFaultSeed(0);
-  const RunResult result = RunExperiment(trace, config, "hawk-spec");
-  ASSERT_EQ(result.jobs.size(), trace.NumJobs());
-  EXPECT_GT(result.counters.tasks_speculated, 0u);
-  EXPECT_GT(result.counters.speculative_wins, 0u);
-  EXPECT_GT(result.counters.speculative_wasted_us, 0u);
-  EXPECT_GE(result.counters.wasted_work_us, result.counters.speculative_wasted_us);
-  EXPECT_EQ(result.total_busy_us,
-            static_cast<uint64_t>(trace.TotalWorkUs()) + result.counters.wasted_work_us);
+  for (const uint32_t shards : {1u, 4u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    config.sim_shards = shards;
+    const RunResult result = RunExperiment(trace, config, "hawk-spec");
+    ASSERT_EQ(result.jobs.size(), trace.NumJobs());
+    EXPECT_GT(result.counters.tasks_speculated, 0u);
+    EXPECT_GT(result.counters.speculative_wins, 0u);
+    EXPECT_GT(result.counters.speculative_wasted_us, 0u);
+    EXPECT_GE(result.counters.wasted_work_us, result.counters.speculative_wasted_us);
+    EXPECT_EQ(result.total_busy_us,
+              static_cast<uint64_t>(trace.TotalWorkUs()) + result.counters.wasted_work_us);
+  }
 }
 
 // The retry budget bounds retransmissions under heavy loss: attempts per
@@ -338,22 +345,25 @@ TEST(RecoveryBoundsTest, RetryBudgetBoundsRetransmitsUnderHeavyLoss) {
   config.message_loss_rate = 0.5;
   config.retry_budget = 2;
   config.fault_seed = EnvFaultSeed(0);
-  for (const std::string& scheduler : SchedulerRegistry::Global().Names()) {
-    SCOPED_TRACE(scheduler);
-    const RunResult result = RunExperiment(trace, config, scheduler);
-    ASSERT_EQ(result.jobs.size(), trace.NumJobs());
-    // At loss 0.5 and budget 2, one delivery in eight exhausts its budget.
-    EXPECT_GT(result.counters.retries_suppressed, 0u);
-    // Every drop is either a retransmit within budget or the final drop of
-    // an abandoned chain — the exact ledger the budget bound falls out of.
-    EXPECT_EQ(result.counters.messages_dropped,
-              result.counters.message_retries + result.counters.retries_suppressed);
-    // Abandoned *task* deliveries only exist for eagerly placed tasks;
-    // probe-lane grants resolve sender-locally and surface as lost probes,
-    // which is every placement under sparrow and the long-job lane under
-    // hawk-latebind (its only task deliveries are rare fault re-placements).
-    if (scheduler != "sparrow" && scheduler != "hawk-latebind") {
-      EXPECT_GT(result.counters.tasks_abandoned, 0u);
+  for (const uint32_t shards : {1u, 4u}) {
+    config.sim_shards = shards;
+    for (const std::string& scheduler : SchedulerRegistry::Global().Names()) {
+      SCOPED_TRACE(scheduler + " shards=" + std::to_string(shards));
+      const RunResult result = RunExperiment(trace, config, scheduler);
+      ASSERT_EQ(result.jobs.size(), trace.NumJobs());
+      // At loss 0.5 and budget 2, one delivery in eight exhausts its budget.
+      EXPECT_GT(result.counters.retries_suppressed, 0u);
+      // Every drop is either a retransmit within budget or the final drop of
+      // an abandoned chain — the exact ledger the budget bound falls out of.
+      EXPECT_EQ(result.counters.messages_dropped,
+                result.counters.message_retries + result.counters.retries_suppressed);
+      // Abandoned *task* deliveries only exist for eagerly placed tasks;
+      // probe-lane grants resolve sender-locally and surface as lost probes,
+      // which is every placement under sparrow and the long-job lane under
+      // hawk-latebind (its only task deliveries are rare fault re-placements).
+      if (scheduler != "sparrow" && scheduler != "hawk-latebind") {
+        EXPECT_GT(result.counters.tasks_abandoned, 0u);
+      }
     }
   }
 }

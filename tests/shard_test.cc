@@ -183,26 +183,6 @@ TEST(ShardDeterminismTest, OversubscribedPoolIsNonSemantic) {
   ExpectIdentical(inline_run, RunSharded(trace, config, "hawk", 4, 16));
 }
 
-// Epoch coalescing skips provably empty phases; on and off must agree
-// bit-for-bit, with the fault stack lit (barrier-granted completions are the
-// tricky case: they land inside the window after the coalescing check, which
-// is why the check runs after barrier replay).
-TEST(ShardDeterminismTest, EpochCoalescingIsNonSemantic) {
-  const Trace trace = MakeTrace();
-  const HawkConfig config = ChaosConfig();
-  for (const char* scheduler : {"hawk", "sparrow", "centralized"}) {
-    SCOPED_TRACE(scheduler);
-    HawkConfig on = config;
-    on.sim_epoch_coalescing = true;
-    HawkConfig off = config;
-    off.sim_epoch_coalescing = false;
-    const RunResult with_coalescing = RunSharded(trace, on, scheduler, 4, 0);
-    ExpectIdentical(with_coalescing, RunSharded(trace, off, scheduler, 4, 0));
-    // And off-path sharding still matches the other shard counts.
-    ExpectIdentical(with_coalescing, RunSharded(trace, off, scheduler, 2, 1));
-  }
-}
-
 // Work conservation must survive sharding: every task completes exactly once
 // and cluster busy time splits exactly into nominal work plus the wasted
 // ledger (crash re-runs + straggler stretch), regardless of shard count.

@@ -1,6 +1,6 @@
-// Unit and property tests for the discrete-event engine: ordering,
-// tie-breaking, clock monotonicity, run-until semantics, and oracle checks
-// of the 4-ary heap / multi-lane queue against std::priority_queue.
+// Unit and property tests for the discrete-event queues: ordering,
+// tie-breaking, and oracle checks of the 4-ary heap / multi-lane queue
+// against std::priority_queue.
 #include <gtest/gtest.h>
 
 #include <queue>
@@ -9,7 +9,6 @@
 
 #include "src/common/random.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/simulation.h"
 
 namespace hawk {
 namespace {
@@ -176,70 +175,6 @@ TEST(MultiLaneEventQueueTest, SameInstantOrderedBySequenceAcrossLanes) {
     EXPECT_EQ(q.Pop().payload, i);
   }
   EXPECT_TRUE(q.Empty());
-}
-
-TEST(SimulationTest, RunsCallbacksInOrder) {
-  sim::Simulation sim;
-  std::vector<int> order;
-  sim.ScheduleAt(20, [&] { order.push_back(2); });
-  sim.ScheduleAt(10, [&] { order.push_back(1); });
-  sim.ScheduleAt(30, [&] { order.push_back(3); });
-  EXPECT_EQ(sim.Run(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(sim.Now(), 30);
-}
-
-TEST(SimulationTest, CallbacksCanScheduleMore) {
-  sim::Simulation sim;
-  int fired = 0;
-  std::function<void()> chain = [&] {
-    ++fired;
-    if (fired < 5) {
-      sim.ScheduleAfter(10, chain);
-    }
-  };
-  sim.ScheduleAt(0, chain);
-  sim.Run();
-  EXPECT_EQ(fired, 5);
-  EXPECT_EQ(sim.Now(), 40);
-}
-
-TEST(SimulationTest, RunUntilStopsAtDeadline) {
-  sim::Simulation sim;
-  int fired = 0;
-  for (SimTime t = 0; t < 100; t += 10) {
-    sim.ScheduleAt(t, [&] { ++fired; });
-  }
-  EXPECT_EQ(sim.RunUntil(45), 5u);  // t = 0,10,20,30,40
-  EXPECT_EQ(fired, 5);
-  EXPECT_EQ(sim.Now(), 45);
-  EXPECT_EQ(sim.PendingEvents(), 5u);
-  sim.Run();
-  EXPECT_EQ(fired, 10);
-}
-
-TEST(SimulationTest, ClockNeverMovesBackwards) {
-  sim::Simulation sim;
-  SimTime last_seen = 0;
-  Rng rng(1);
-  for (int i = 0; i < 1000; ++i) {
-    const SimTime t = static_cast<SimTime>(rng.NextBounded(10000));
-    sim.ScheduleAt(t, [&sim, &last_seen] {
-      EXPECT_GE(sim.Now(), last_seen);
-      last_seen = sim.Now();
-    });
-  }
-  sim.Run();
-}
-
-TEST(SimulationTest, SameInstantFifo) {
-  sim::Simulation sim;
-  std::vector<int> order;
-  sim.ScheduleAt(5, [&] { order.push_back(0); });
-  sim.ScheduleAt(5, [&] { order.push_back(1); });
-  sim.ScheduleAt(5, [&] { order.push_back(2); });
-  sim.Run();
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
 
 }  // namespace
