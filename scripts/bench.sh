@@ -1,17 +1,8 @@
 #!/usr/bin/env bash
-# Benchmark artifacts: builds the Release bench binaries and emits
-#   BENCH_driver.json  driver-throughput (Google Benchmark JSON) — the repo's
-#                      perf-trajectory baseline; compare events/s across
-#                      commits to spot hot-path regressions. Includes the
-#                      1M-worker scale point (10M paper nodes / 10).
-#   BENCH_shard_scaling.json  sharded-executor scaling grid: serial baseline
-#                      plus shards {2,4,8} x pool threads {1,2,4} at the
-#                      100k- and 1M-worker scale points. The multi-core
-#                      scaling table in docs/performance.md is read off this
-#                      artifact.
+# Benchmark artifacts: builds hawk_figures in Release and emits
 #   BENCH_sweep.json   probe-ratio (power-of-d) ablation sweep run through
 #                      the experiment API — tracks result trajectories for
-#                      the sweep grid, not just throughput.
+#                      the sweep grid.
 #   BENCH_hetero_slots.json  capacity-layout (multi-slot / heterogeneous
 #                      worker) sweep at fixed total slots.
 #   BENCH_impl_vs_sim.json  prototype-vs-simulation grid (fig 16/17): sparrow,
@@ -26,20 +17,18 @@
 #                      p50/p99 normalized runtimes, simulated curves plus a
 #                      tiny real-slowdown prototype grid.
 #
-# See docs/performance.md for the methodology and how to read each artifact.
+# Executor speed (events/s, set-up time, peak RSS) is measured by the repo
+# benchmark, bench/e2e (see bench/e2e/README.md), not here. See
+# docs/performance.md for how to read each artifact.
 #
 # Usage:
 #   scripts/bench.sh                      # full run, writes all artifacts
-#   scripts/bench.sh --benchmark_filter=Hawk   # extra args forwarded to the
-#                                              # throughput bench
 #
 # Environment:
 #   BUILD_DIR   build directory (default: build-bench). If it already holds a
 #               configured build it is reused; otherwise it is configured as
 #               a Release build here.
 #   JOBS        parallelism (default: nproc)
-#   OUT         throughput JSON path (default: BENCH_driver.json)
-#   SHARD_OUT   shard-scaling JSON path (default: BENCH_shard_scaling.json)
 #   SWEEP_OUT   sweep JSON path (default: BENCH_sweep.json)
 #   HETERO_OUT  hetero-slots JSON path (default: BENCH_hetero_slots.json)
 #   IMPL_OUT    impl-vs-sim JSON path (default: BENCH_impl_vs_sim.json)
@@ -52,17 +41,15 @@ cd "$(dirname "$0")/.."
 
 BUILD_DIR="${BUILD_DIR:-build-bench}"
 JOBS="${JOBS:-$(nproc)}"
-OUT="${OUT:-BENCH_driver.json}"
-SHARD_OUT="${SHARD_OUT:-BENCH_shard_scaling.json}"
 SWEEP_OUT="${SWEEP_OUT:-BENCH_sweep.json}"
 HETERO_OUT="${HETERO_OUT:-BENCH_hetero_slots.json}"
 IMPL_OUT="${IMPL_OUT:-BENCH_impl_vs_sim.json}"
 FAULTS_OUT="${FAULTS_OUT:-BENCH_faults.json}"
 STRAGGLERS_OUT="${STRAGGLERS_OUT:-BENCH_stragglers.json}"
 # Scale contract: HAWK_BENCH_SCALE is parsed (strictly) in exactly one
-# place — bench/bench_util.h's BenchScale(). This script only routes
+# place — BenchScale() in bench/figures.cc. This script only routes
 # SWEEP_SCALE into that env var; it never parses or validates the value
-# itself, so a malformed scale fails with bench_util's message, not two
+# itself, so a malformed scale fails with hawk_figures' message, not two
 # divergent ones. SWEEP_SCALE keeps working as the documented knob and an
 # already-exported HAWK_BENCH_SCALE is respected as its default.
 SWEEP_SCALE="${SWEEP_SCALE:-${HAWK_BENCH_SCALE:-1}}"
@@ -72,6 +59,8 @@ die() {
   echo "bench.sh: error: $*" >&2
   exit 1
 }
+
+[[ $# -eq 0 ]] || die "unexpected arguments: $* (configure through the environment, see the header)"
 
 command -v cmake > /dev/null 2>&1 \
   || die "cmake not found on PATH — install CMake >= 3.16 (see README 'Build and test')"
@@ -89,51 +78,29 @@ if [[ ! -f "${BUILD_DIR}/CMakeCache.txt" ]]; then
     || die "CMake configure failed in '${BUILD_DIR}' — inspect the output above, or remove the directory and re-run"
 fi
 
-cmake --build "${BUILD_DIR}" -j "${JOBS}" \
-      --target bench_driver_throughput bench_ablation_power_of_d bench_ablation_hetero_slots \
-               bench_fig16_17_impl_vs_sim bench_ablation_faults bench_ablation_stragglers \
-  || die "bench build failed in '${BUILD_DIR}'"
+cmake --build "${BUILD_DIR}" -j "${JOBS}" --target hawk_figures \
+  || die "hawk_figures build failed in '${BUILD_DIR}'"
 
-[[ -x "${BUILD_DIR}/bench_driver_throughput" ]] \
-  || die "bench_driver_throughput did not build — was Google Benchmark found? (see README 'Build and test')"
+FIGURES="${BUILD_DIR}/hawk_figures"
 
-# Two passes over one binary: the serial/multi-slot rows form the perf
-# trajectory (BENCH_driver.json), the sharded grid the multi-core scaling
-# artifact (BENCH_shard_scaling.json). Splitting keeps each artifact's
-# comparison story clean — trajectory rows compare across commits, scaling
-# rows compare within one machine's run.
-"${BUILD_DIR}/bench_driver_throughput" \
-  --benchmark_filter='-.*Sharded.*' \
-  --benchmark_out="${OUT}" --benchmark_out_format=json \
-  --benchmark_counters_tabular=true "$@"
-
-echo "Wrote ${OUT}"
-
-"${BUILD_DIR}/bench_driver_throughput" \
-  --benchmark_filter='.*Sharded.*' \
-  --benchmark_out="${SHARD_OUT}" --benchmark_out_format=json \
-  --benchmark_counters_tabular=true
-
-echo "Wrote ${SHARD_OUT}"
-
-# The benches print "Wrote ..." themselves on success.
-"${BUILD_DIR}/bench_ablation_power_of_d" --threads="${JOBS}" \
+# hawk_figures prints "Wrote ..." itself on success.
+"${FIGURES}" --figure=ablation-power-of-d --threads="${JOBS}" \
   --json="${SWEEP_OUT}"
 
-"${BUILD_DIR}/bench_ablation_hetero_slots" --threads="${JOBS}" \
+"${FIGURES}" --figure=ablation-hetero-slots --threads="${JOBS}" \
   --json="${HETERO_OUT}"
 
 # Prototype vs simulation at smoke scale: real node-monitor threads and sleep
 # tasks, so this is wall-clock bound — keep it small and serial.
-"${BUILD_DIR}/bench_fig16_17_impl_vs_sim" --jobs=16 --work-seconds=3 --num-ratios=2 \
+"${FIGURES}" --figure=fig16-17 --jobs=16 --work-seconds=3 --num-ratios=2 \
   --json="${IMPL_OUT}"
 
 # Fault ablation: the sim grid scales with SWEEP_SCALE; the prototype half is
 # wall-clock bound (real crashes + sleep tasks) and stays at smoke scale.
-"${BUILD_DIR}/bench_ablation_faults" --threads="${JOBS}" \
+"${FIGURES}" --figure=ablation-faults --threads="${JOBS}" \
   --proto-jobs=12 --proto-work-seconds=3 --json="${FAULTS_OUT}"
 
 # Straggler ablation: same split — scaled sim grid, smoke-scale prototype grid
 # with real slowed-down executor sleeps.
-"${BUILD_DIR}/bench_ablation_stragglers" --threads="${JOBS}" \
+"${FIGURES}" --figure=ablation-stragglers --threads="${JOBS}" \
   --proto-jobs=12 --proto-work-seconds=3 --json="${STRAGGLERS_OUT}"

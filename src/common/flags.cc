@@ -1,5 +1,6 @@
 #include "src/common/flags.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <sstream>
 
@@ -98,6 +99,16 @@ std::vector<int64_t> Flags::GetIntList(const std::string& name,
     out.push_back(v);
   }
   return out;
+}
+
+std::vector<std::string> Flags::UnknownNames(const std::vector<std::string>& known) const {
+  std::vector<std::string> unknown;
+  for (const auto& [name, value] : values_) {
+    if (std::find(known.begin(), known.end(), name) == known.end()) {
+      unknown.push_back(name);
+    }
+  }
+  return unknown;
 }
 
 }  // namespace hawk

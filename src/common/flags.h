@@ -1,9 +1,9 @@
 // Minimal command-line flag parsing for example and bench binaries.
 //
 // Accepts "--name=value", "--name value", and bare "--name" for booleans.
-// There is no registry of valid names, so unknown flags are silently kept
-// (misspell one and you run the default configuration); malformed values
-// abort via HAWK_CHECK at the Get* call that reads them.
+// Every name is kept; a binary that wants misspelt flags rejected rather
+// than silently running its default configuration checks UnknownNames().
+// Malformed values abort via HAWK_CHECK at the Get* call that reads them.
 #ifndef HAWK_COMMON_FLAGS_H_
 #define HAWK_COMMON_FLAGS_H_
 
@@ -29,6 +29,9 @@ class Flags {
   // Comma-separated integer list, e.g. "--sizes=1000,1500,2000".
   std::vector<int64_t> GetIntList(const std::string& name,
                                   const std::vector<int64_t>& default_value) const;
+
+  // The parsed flag names that are not in `known`, sorted.
+  std::vector<std::string> UnknownNames(const std::vector<std::string>& known) const;
 
   // Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

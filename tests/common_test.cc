@@ -283,6 +283,14 @@ TEST(FlagsTest, BoolExplicitValues) {
   EXPECT_FALSE(flags.GetBool("off", true));
 }
 
+TEST(FlagsTest, UnknownNamesListsFlagsOutsideTheKnownSet) {
+  const char* argv[] = {"prog", "--jobs=10", "--num_jobs=1000", "positional", "--alpha"};
+  Flags flags(5, const_cast<char**>(argv));
+  EXPECT_EQ(flags.UnknownNames({"jobs", "seed"}),
+            (std::vector<std::string>{"alpha", "num_jobs"}));
+  EXPECT_TRUE(flags.UnknownNames({"alpha", "jobs", "num_jobs"}).empty());
+}
+
 TEST(StatusTest, OkAndError) {
   EXPECT_TRUE(Status::Ok().ok());
   const Status err = Status::Error("boom");

@@ -28,7 +28,7 @@ namespace {
 // policy-agnostic and every registered scheduler must survive it.
 const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice", "split"};
 
-// Strict unsigned-integer env parse (the bench_util::BenchScale idiom): a
+// Strict unsigned-integer env parse (the idiom of BenchScale in bench/figures.cc): a
 // malformed value must fail the run loudly, not silently fall back — a chaos
 // soak that quietly reruns the default schedule validates nothing while
 // claiming to have walked the matrix.

@@ -31,7 +31,7 @@ namespace {
 // Chaos-soak hook: CI reruns the fault-labeled suites with HAWK_FAULT_SEED
 // set to walk several distinct crash/loss/straggler schedules through the
 // same invariants. Locally (unset) the fallback keeps runs reproducible.
-// Strict parse (the bench_util::BenchScale idiom): a malformed value fails
+// Strict parse (the idiom of BenchScale in bench/figures.cc): a malformed value fails
 // loudly instead of silently soaking the fallback schedule.
 uint64_t EnvFaultSeed(uint64_t fallback) {
   const char* env = std::getenv("HAWK_FAULT_SEED");
