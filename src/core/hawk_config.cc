@@ -75,11 +75,6 @@ constexpr FieldSetter kFields[] = {
      [](HawkConfig& c, double v) { return SetIntegerField(&c.net_delay_us, v); }},
     {"num_workers",
      [](HawkConfig& c, double v) { return SetIntegerField(&c.num_workers, v); }},
-    {"partition_by_slots",
-     [](HawkConfig& c, double v) {
-       c.partition_by_slots = v != 0.0;
-       return true;
-     }},
     {"probe_ratio",
      [](HawkConfig& c, double v) { return SetIntegerField(&c.probe_ratio, v); }},
     {"retry_budget",
@@ -151,38 +146,10 @@ uint32_t HawkConfig::GeneralCount() const {
   if (!use_partition) {
     return num_workers;
   }
-  if (!partition_by_slots) {
-    const auto short_count = static_cast<uint32_t>(
-        static_cast<double>(num_workers) * short_partition_fraction);
-    // Never let the general partition vanish entirely.
-    return num_workers > short_count ? num_workers - short_count : 1;
-  }
-  // Capacity-aware split: reserve short_partition_fraction of the cluster's
-  // *slots*. The short partition is the worker-id suffix, so walk down from
-  // the top of the id space while the suffix's slot total stays within the
-  // target share (floor semantics, mirroring the worker-count split). The
-  // layout is a pure function of the config (SlotSpec::SlotsOf), so this
-  // needs no WorkerStore. With uniform capacity,
-  // floor(floor(N*s*f)/s) == floor(N*f): the boundary matches the
-  // worker-count split exactly.
-  const SlotSpec spec = Slots();
-  uint64_t total_slots = 0;
-  for (WorkerId w = 0; w < num_workers; ++w) {
-    total_slots += spec.SlotsOf(w, num_workers);
-  }
-  const auto target_short_slots = static_cast<uint64_t>(
-      static_cast<double>(total_slots) * short_partition_fraction);
-  uint64_t suffix_slots = 0;
-  uint32_t general = num_workers;
-  while (general > 1) {
-    const uint32_t candidate = spec.SlotsOf(general - 1, num_workers);
-    if (suffix_slots + candidate > target_short_slots) {
-      break;
-    }
-    suffix_slots += candidate;
-    --general;
-  }
-  return general;
+  const auto short_count =
+      static_cast<uint32_t>(static_cast<double>(num_workers) * short_partition_fraction);
+  // Never let the general partition vanish entirely.
+  return num_workers > short_count ? num_workers - short_count : 1;
 }
 
 Status HawkConfig::Validate() const {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <condition_variable>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -24,6 +25,49 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+// RPC bus delivery threads: enough to overlap deliveries to different
+// endpoints without crowding the monitors' executor threads.
+constexpr uint32_t kBusThreads = 3;
+
+// A harness thread (sampler, fault controller, heartbeat pump, reaper):
+// calls `step` first at `first`, then whenever the previous call asks,
+// until Stop(). The wait between calls is interruptible, so a period
+// longer than the run cannot stall teardown until the next tick.
+class HarnessThread {
+ public:
+  ~HarnessThread() { Stop(); }
+
+  void Start(Clock::time_point first, std::function<Clock::time_point()> step) {
+    thread_ = std::thread([this, first, step = std::move(step)] {
+      std::unique_lock<std::mutex> lock(mu_);
+      for (Clock::time_point next = first;
+           !cv_.wait_until(lock, next, [this] { return stop_; });) {
+        lock.unlock();
+        next = step();
+        lock.lock();
+      }
+    });
+  }
+
+  // Stops and joins; a no-op for a thread never started or already stopped.
+  void Stop() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    if (thread_.joinable()) {
+      thread_.join();
+    }
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool stop_ = false;
+  std::thread thread_;
+};
+
 }  // namespace
 
 Status PrototypeConfig::Validate() const {
@@ -36,9 +80,6 @@ Status PrototypeConfig::Validate() const {
   }
   if (num_frontends == 0) {
     return Status::Error("num_frontends must be nonzero");
-  }
-  if (bus_threads == 0) {
-    return Status::Error("bus_threads must be nonzero");
   }
   if (timeout.count() <= 0) {
     return Status::Error("timeout must be positive");
@@ -95,7 +136,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // runtime is wired exactly as before — no reaper, no fault controller, no
   // bus fault hook, no timeouts armed.
   const bool faults_on = hawk.FaultsEnabled();
-  rpc::MessageBus bus(std::chrono::microseconds(hawk.net_delay_us), config.bus_threads);
+  rpc::MessageBus bus(std::chrono::microseconds(hawk.net_delay_us), kBusThreads);
   if (hawk.message_loss_rate > 0.0 || hawk.message_delay_jitter_us > 0) {
     rpc::MessageBus::FaultInjection wire;
     wire.loss_rate = hawk.message_loss_rate;
@@ -191,29 +232,19 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
     backend->Start();
   }
 
-  // Utilization sampler thread (the wall-clock analogue of the simulator's
+  // Utilization sampler (the wall-clock analogue of the simulator's
   // periodic snapshots): executing slots over total slots, like
-  // Cluster::Utilization. The inter-sample wait is interruptible so a
-  // period longer than the run (e.g. a spec carrying the simulator's 100 s
-  // default) cannot stall teardown until the next tick.
-  std::mutex sampler_mu;
-  std::condition_variable sampler_cv;
-  bool sampling = true;
+  // Cluster::Utilization.
   std::vector<double> utilization_samples;
-  std::thread sampler([&] {
-    const auto period = std::chrono::microseconds(hawk.util_sample_period_us);
-    std::unique_lock<std::mutex> lock(sampler_mu);
-    while (sampling) {
-      lock.unlock();
-      uint64_t executing = 0;
-      for (const auto& monitor : monitors) {
-        executing += monitor->ExecutingSlots();
-      }
-      utilization_samples.push_back(static_cast<double>(executing) /
-                                    static_cast<double>(layout.TotalSlots()));
-      lock.lock();
-      sampler_cv.wait_for(lock, period, [&] { return !sampling; });
+  HarnessThread sampler;
+  sampler.Start(Clock::now(), [&] {
+    uint64_t executing = 0;
+    for (const auto& monitor : monitors) {
+      executing += monitor->ExecutingSlots();
     }
+    utilization_samples.push_back(static_cast<double>(executing) /
+                                  static_cast<double>(layout.TotalSlots()));
+    return Clock::now() + std::chrono::microseconds(hawk.util_sample_period_us);
   });
 
   // Fault controller: a Poisson process of real fail-stop crashes (the
@@ -221,79 +252,62 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // rejoining empty after the configured downtime. The RNG derivation
   // matches the simulator's, so fault_seed re-rolls faults here too without
   // touching scheduling seeds.
-  std::mutex fault_mu;
-  std::condition_variable fault_cv;
-  bool fault_stop = false;
   uint64_t worker_crashes = 0;
   uint64_t worker_rejoins = 0;
-  std::thread fault_controller;
+  HarnessThread fault_controller;
   if (hawk.worker_crash_rate > 0.0) {
-    fault_controller = std::thread([&] {
-      Rng rng(Rng(hawk.seed ^ 0x8BADF00DDEADBEEFULL ^
-                  (hawk.fault_seed * 0x9E3779B97F4A7C15ULL))
-                  .Next());
-      const double mean_us = 1e6 / (hawk.worker_crash_rate * hawk.num_workers);
-      const auto draw_wait = [&rng, mean_us] {
-        return std::chrono::microseconds(
-            std::max<int64_t>(std::llround(rng.Exponential(mean_us)), 1));
-      };
-      std::vector<std::pair<Clock::time_point, WorkerId>> rejoins;
-      Clock::time_point next_crash = Clock::now() + draw_wait();
-      std::unique_lock<std::mutex> lock(fault_mu);
-      while (!fault_stop) {
-        Clock::time_point next = next_crash;
-        for (const auto& rejoin : rejoins) {
-          next = std::min(next, rejoin.first);
-        }
-        fault_cv.wait_until(lock, next, [&] { return fault_stop; });
-        if (fault_stop) {
-          break;
-        }
-        const Clock::time_point now = Clock::now();
-        for (auto it = rejoins.begin(); it != rejoins.end();) {
-          if (it->first <= now) {
-            monitors[it->second]->Rejoin();
-            ++worker_rejoins;
-            it = rejoins.erase(it);
-          } else {
-            ++it;
+    Rng rng(Rng(hawk.seed ^ 0x8BADF00DDEADBEEFULL ^ (hawk.fault_seed * 0x9E3779B97F4A7C15ULL))
+                .Next());
+    const double mean_us = 1e6 / (hawk.worker_crash_rate * hawk.num_workers);
+    const auto draw_wait = [mean_us](Rng& r) {
+      return std::chrono::microseconds(
+          std::max<int64_t>(std::llround(r.Exponential(mean_us)), 1));
+    };
+    const Clock::time_point first_crash = Clock::now() + draw_wait(rng);
+    fault_controller.Start(
+        first_crash, [&, rng, draw_wait, next_crash = first_crash,
+                      rejoins = std::vector<std::pair<Clock::time_point, WorkerId>>()]() mutable {
+          const Clock::time_point now = Clock::now();
+          for (auto it = rejoins.begin(); it != rejoins.end();) {
+            if (it->first <= now) {
+              monitors[it->second]->Rejoin();
+              ++worker_rejoins;
+              it = rejoins.erase(it);
+            } else {
+              ++it;
+            }
           }
-        }
-        if (now >= next_crash) {
-          const auto victim = static_cast<WorkerId>(rng.UniformInt(0, hawk.num_workers - 1));
-          const bool down = std::any_of(rejoins.begin(), rejoins.end(),
-                                        [victim](const auto& r) { return r.second == victim; });
-          if (!down) {
-            monitors[victim]->Crash();
-            ++worker_crashes;
-            rejoins.emplace_back(now + std::chrono::microseconds(hawk.worker_downtime_us),
-                                 victim);
+          if (now >= next_crash) {
+            const auto victim = static_cast<WorkerId>(rng.UniformInt(0, hawk.num_workers - 1));
+            const bool down = std::any_of(rejoins.begin(), rejoins.end(),
+                                          [victim](const auto& r) { return r.second == victim; });
+            if (!down) {
+              monitors[victim]->Crash();
+              ++worker_crashes;
+              rejoins.emplace_back(now + std::chrono::microseconds(hawk.worker_downtime_us),
+                                   victim);
+            }
+            next_crash = now + draw_wait(rng);
           }
-          next_crash = now + draw_wait();
-        }
-      }
-    });
+          Clock::time_point next = next_crash;
+          for (const auto& rejoin : rejoins) {
+            next = std::min(next, rejoin.first);
+          }
+          return next;
+        });
   }
 
   // Heartbeat pump: one harness thread beats every live monitor each period
   // (a per-monitor thread would be num_workers threads for a strictly
   // periodic send). Crashed monitors stay silent inside SendHeartbeat — the
   // silence is the detector's signal.
-  std::mutex hb_mu;
-  std::condition_variable hb_cv;
-  bool hb_stop = false;
-  std::thread heartbeat_pump;
+  HarnessThread heartbeat_pump;
   if (detector != nullptr) {
-    heartbeat_pump = std::thread([&] {
-      std::unique_lock<std::mutex> lock(hb_mu);
-      while (!hb_stop) {
-        lock.unlock();
-        for (auto& monitor : monitors) {
-          monitor->SendHeartbeat();
-        }
-        lock.lock();
-        hb_cv.wait_for(lock, config.heartbeat_period, [&] { return hb_stop; });
+    heartbeat_pump.Start(Clock::now(), [&] {
+      for (auto& monitor : monitors) {
+        monitor->SendHeartbeat();
       }
+      return Clock::now() + config.heartbeat_period;
     });
   }
 
@@ -301,27 +315,16 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // dead (and, when speculation is armed, clone stragglers). This is the
   // prototype's whole recovery engine — without it a crash or drop strands
   // its tasks forever.
-  std::mutex reap_mu;
-  std::condition_variable reap_cv;
-  bool reap_stop = false;
-  std::thread reaper;
+  HarnessThread reaper;
   if (faults_on || recovery.SpeculationOn()) {
-    reaper = std::thread([&] {
-      std::unique_lock<std::mutex> lock(reap_mu);
-      while (!reap_stop) {
-        reap_cv.wait_for(lock, config.reap_period, [&] { return reap_stop; });
-        if (reap_stop) {
-          break;
-        }
-        lock.unlock();
-        for (auto& frontend : frontends) {
-          frontend->ReapOverdue();
-        }
-        if (backend != nullptr) {
-          backend->ReapOverdue();
-        }
-        lock.lock();
+    reaper.Start(Clock::now() + config.reap_period, [&] {
+      for (auto& frontend : frontends) {
+        frontend->ReapOverdue();
       }
+      if (backend != nullptr) {
+        backend->ReapOverdue();
+      }
+      return Clock::now() + config.reap_period;
     });
   }
 
@@ -364,15 +367,12 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   const auto progress = [&](JobId job) -> std::string {
     uint32_t done = 0;
     uint32_t total = 0;
+    bool found = backend != nullptr && backend->ledger().JobProgress(job, &done, &total);
     for (const auto& frontend : frontends) {
-      if (frontend->JobProgress(job, &done, &total)) {
-        return " (" + std::to_string(done) + "/" + std::to_string(total) + " tasks done)";
-      }
+      found = found || frontend->ledger().JobProgress(job, &done, &total);
     }
-    if (backend != nullptr && backend->JobProgress(job, &done, &total)) {
-      return " (" + std::to_string(done) + "/" + std::to_string(total) + " tasks done)";
-    }
-    return " (owner already retired it)";
+    return found ? " (" + std::to_string(done) + "/" + std::to_string(total) + " tasks done)"
+                 : " (owner already retired it)";
   };
   const Status completed = sink.AwaitAll(config.timeout, progress);
   if (!completed.ok()) {
@@ -380,38 +380,11 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   }
   // Stop the fault machinery before draining: the reaper sends on the bus,
   // so it must be gone before the bus winds down.
-  if (fault_controller.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(fault_mu);
-      fault_stop = true;
-    }
-    fault_cv.notify_all();
-    fault_controller.join();
-  }
-  if (reaper.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(reap_mu);
-      reap_stop = true;
-    }
-    reap_cv.notify_all();
-    reaper.join();
-  }
-  if (heartbeat_pump.joinable()) {
-    {
-      std::lock_guard<std::mutex> lock(hb_mu);
-      hb_stop = true;
-    }
-    hb_cv.notify_all();
-    heartbeat_pump.join();
-  }
+  fault_controller.Stop();
+  reaper.Stop();
+  heartbeat_pump.Stop();
   bus.Drain();
-
-  {
-    std::lock_guard<std::mutex> lock(sampler_mu);
-    sampling = false;
-  }
-  sampler_cv.notify_all();
-  sampler.join();
+  sampler.Stop();
   for (auto& monitor : monitors) {
     monitor->Stop();
   }
@@ -446,25 +419,16 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   }
   result.counters.events = bus.MessagesDelivered();
   // Fault counters, with the same meanings as the simulator's: parity lets
-  // bench_ablation_faults print one table over both executors.
+  // `hawk_figures --figure=ablation-faults` print one table over both
+  // executors.
   result.counters.worker_crashes = worker_crashes;
   result.counters.worker_rejoins = worker_rejoins;
   result.counters.messages_dropped = bus.MessagesDropped();
-  result.counters.duplicate_completions = sink.duplicates();
   for (const auto& frontend : frontends) {
-    result.counters.tasks_re_dispatched += frontend->tasks_re_dispatched();
-    result.counters.probes_lost += frontend->probes_re_sent();
-    result.counters.duplicate_completions += frontend->duplicate_completions();
-    result.counters.tasks_speculated += frontend->tasks_speculated();
-    result.counters.speculative_wasted_us += frontend->speculative_wasted_us();
-    result.counters.retries_suppressed += frontend->retries_suppressed();
-    result.counters.tasks_abandoned += frontend->tasks_abandoned();
+    frontend->ledger().Counters().AddTo(&result.counters);
   }
   if (backend != nullptr) {
-    result.counters.tasks_re_dispatched += backend->tasks_re_dispatched();
-    result.counters.duplicate_completions += backend->duplicate_completions();
-    result.counters.retries_suppressed += backend->retries_suppressed();
-    result.counters.tasks_abandoned += backend->tasks_abandoned();
+    backend->ledger().Counters().AddTo(&result.counters);
   }
   if (detector != nullptr) {
     result.counters.node_suspicions = detector->suspicions();

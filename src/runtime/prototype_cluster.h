@@ -51,7 +51,6 @@ struct PrototypeConfig {
 
   // The paper deploys 10 distributed schedulers beside the centralized one.
   uint32_t num_frontends = 10;
-  uint32_t bus_threads = 3;
   // Hard cap on a run (safety for stuck runs); a timeout logs the jobs still
   // outstanding and returns partial results.
   std::chrono::milliseconds timeout{120'000};
@@ -91,11 +90,11 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
 
 // Spec-driven entry point: the scheduler name, HawkConfig, and trace come
 // from `spec` — the exact spec a simulation of the same run would use — and
-// the wall-clock knobs come from `runtime`: its frontend/bus/timeout fields
-// plus `runtime.hawk.util_sample_period_us` (the sampler period is a
-// wall-clock concern; a spec tuned for the simulator usually carries the
-// 100 s sim-time default). The rest of `runtime`'s scheduler/hawk fields
-// are ignored. This is what lets one SweepSpec drive both RunSweep (sim)
+// the wall-clock knobs come from `runtime`: its frontend, timeout and
+// recovery fields plus `runtime.hawk.util_sample_period_us` (the sampler
+// period is a wall-clock concern; a spec tuned for the simulator usually
+// carries the 100 s sim-time default). The rest of `runtime`'s
+// scheduler/hawk fields are ignored. This is what lets one SweepSpec drive both RunSweep (sim)
 // and the prototype.
 StatusOr<RunResult> RunPrototype(const ExperimentSpec& spec,
                                  const PrototypeConfig& runtime = PrototypeConfig());

@@ -43,7 +43,7 @@ const SchedulerRegistration kRegisterHawk(
 // Stealing variant (ROADMAP next-candidate): Hawk with power-of-d-choices
 // victim selection — the steal sample is contacted most-loaded-first instead
 // of in draw order, trading nothing for fewer victim probes per success.
-// Swept beside plain hawk in bench_ablation_steal_retry.
+// Swept beside plain hawk in `hawk_figures --figure=ablation-steal-retry`.
 const SchedulerRegistration kRegisterHawkDChoice(
     "hawk-dchoice",
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
@@ -53,7 +53,7 @@ const SchedulerRegistration kRegisterHawkDChoice(
 
 // Adaptive-recovery variant: Hawk with speculative re-execution on by
 // default (see HawkSpecPolicy::SpeculationThreshold). Swept beside plain
-// hawk in bench_ablation_stragglers.
+// hawk in `hawk_figures --figure=ablation-stragglers`.
 const SchedulerRegistration kRegisterHawkSpec(
     "hawk-spec",
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
@@ -64,7 +64,7 @@ const SchedulerRegistration kRegisterHawkSpec(
 // Late-binding centralized hybrid (ROADMAP carry-over): the long-job lane
 // places probes on the minimum-wait workers and lets the §3.5 request
 // machinery bind tasks at service time. Swept beside hawk and centralized in
-// bench_fig8_9_vs_centralized.
+// `hawk_figures --figure=fig8-9`.
 const SchedulerRegistration kRegisterHawkLateBind(
     "hawk-latebind",
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {

@@ -8,7 +8,7 @@
 //     bursts), modelling spiky submission behaviour.
 // Both preserve the requested *mean* inter-arrival, so runs stay comparable
 // with plain Poisson at equal offered load (verified by tests and used by
-// bench_ablation_burstiness).
+// `hawk_figures --figure=ablation-burstiness`).
 #ifndef HAWK_WORKLOAD_ARRIVAL_PATTERNS_H_
 #define HAWK_WORKLOAD_ARRIVAL_PATTERNS_H_
 

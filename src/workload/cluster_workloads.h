@@ -8,7 +8,8 @@
 //   task runtimes     ~ Gaussian(mean, 2*mean) excluding negative values.
 // The numeric centroids are not published; the tables below are calibrated so
 // the generated traces reproduce the paper's Table 1 (% long jobs and
-// % task-seconds) — see DESIGN.md §3 and bench_table1_workload_mix.
+// % task-seconds) — see `hawk_figures --figure=table1`, which prints the
+// generated shares beside the paper's.
 #ifndef HAWK_WORKLOAD_CLUSTER_WORKLOADS_H_
 #define HAWK_WORKLOAD_CLUSTER_WORKLOADS_H_
 

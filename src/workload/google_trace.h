@@ -1,4 +1,5 @@
-// Synthetic stand-in for the 2011 Google cluster trace (see DESIGN.md §3).
+// Synthetic stand-in for the 2011 Google cluster trace; `hawk_figures
+// --figure=table1` and `--figure=fig4` print its generated statistics.
 //
 // The real trace is not available offline; this generator is calibrated so
 // the trace-level statistics Hawk's results depend on match the paper:

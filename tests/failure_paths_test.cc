@@ -1,11 +1,13 @@
 // Failure-path coverage for src/common/check.h and src/common/status.h:
 // CHECK macros must abort with a readable message, Status/StatusOr must
-// propagate errors without aborting on the happy path.
+// propagate errors without aborting on the happy path. Also the wiring
+// CHECKs of the prototype's CompletionSink.
 #include <string>
 
 #include "gtest/gtest.h"
 #include "src/common/check.h"
 #include "src/common/status.h"
+#include "src/runtime/schedulers.h"
 
 namespace hawk {
 namespace {
@@ -74,6 +76,22 @@ TEST(FailurePathsDeathTest, StatusOrValueOnErrorAborts) {
 TEST(FailurePathsDeathTest, StatusOrFromOkStatusAborts) {
   EXPECT_DEATH({ StatusOr<int> bad{Status::Ok()}; },
                "StatusOr constructed from OK status");
+}
+
+// Each prototype job has exactly one owning scheduler, which records it
+// once and then forgets it: a second record, like a record for a job never
+// expected, is a wiring bug and aborts.
+TEST(FailurePathsDeathTest, CompletionSinkAbortsOnSecondRecord) {
+  runtime::CompletionSink sink;
+  sink.ExpectJobs({1, 2});
+  sink.Record(1, /*is_long=*/false);
+  EXPECT_DEATH({ sink.Record(1, false); }, "completion recorded twice for job 1");
+}
+
+TEST(FailurePathsDeathTest, CompletionSinkAbortsOnNeverExpectedJob) {
+  runtime::CompletionSink sink;
+  sink.ExpectJobs({1, 2});
+  EXPECT_DEATH({ sink.Record(9, false); }, "never-expected job 9");
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 // timeout-based crash recovery including duplicate-completion dedupe.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -16,6 +18,7 @@
 #include "src/common/random.h"
 #include "src/core/hawk_config.h"
 #include "src/runtime/prototype_cluster.h"
+#include "src/runtime/schedulers.h"
 #include "src/scheduler/experiment.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
@@ -274,7 +277,9 @@ TEST(PrototypeFaultTest, CrashedMonitorsRecoverViaReDispatch) {
 // (but perfectly alive) tasks, both copies run, and the duplicate-completion
 // counters absorb the seconds — jobs still complete exactly once. The trace
 // needs a straggler: a run ends when its last job completes, so a duplicate
-// only registers if it drains while some original is still running.
+// only registers if it drains while some original is still running. Run at
+// the default retry budget and at the smallest valid one (1): over budget
+// the prototype keeps re-placing, so the run completes either way.
 TEST(PrototypeFaultTest, DuplicateCompletionsAreCountedAndDeduped) {
   Trace trace;
   Job warmup;  // Fills both workers for 60 ms.
@@ -290,25 +295,119 @@ TEST(PrototypeFaultTest, DuplicateCompletionsAreCountedAndDeduped) {
   straggler.task_durations = {400'000};
   trace.Add(straggler);
   trace.SortAndRenumber();
+  for (const uint32_t budget : {16u, 1u}) {
+    SCOPED_TRACE("retry_budget " + std::to_string(budget));
+    runtime::PrototypeConfig config;
+    config.scheduler = "centralized";  // Every task queues via kTaskPlace.
+    config.hawk.num_workers = 2;
+    config.hawk.classify_mode = ClassifyMode::kHint;
+    config.hawk.net_delay_us = 200;
+    config.hawk.util_sample_period_us = 20'000;
+    config.hawk.retry_budget = budget;
+    // Enable the fault layer without any actual fault: 1 us of jitter turns
+    // on the reaper, whose 10 ms detection window is far shorter than the
+    // squeezed job's queueing delay.
+    config.hawk.message_delay_jitter_us = 1;
+    config.fault_detection_timeout = std::chrono::milliseconds(10);
+    config.reap_period = std::chrono::milliseconds(10);
+    config.timeout = std::chrono::milliseconds(60'000);
+    const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    // Exactly one completion per job despite the duplicates.
+    ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
+    const RunCounters& counters = result.value().counters;
+    EXPECT_GT(counters.tasks_re_dispatched + counters.retries_suppressed, 0u);
+    EXPECT_GT(counters.duplicate_completions, 0u);
+    if (budget == 16) {
+      EXPECT_GT(counters.tasks_re_dispatched, 0u);
+    }
+    // A task is abandoned only once its permitted re-dispatches are spent,
+    // and each abandonment is one of the suppressed retries.
+    EXPECT_LE(counters.tasks_abandoned, counters.tasks_re_dispatched);
+    EXPECT_LE(counters.tasks_abandoned, counters.retries_suppressed);
+  }
+}
+
+// The retry budget's accounting on the prototype's recovery ledger, driven
+// directly so the clock is explicit: two tasks each presumed dead three
+// times. Budget 0 lies below HawkConfig's valid range, so no run can ask for
+// it, but the ledger's policy is plain data and its accounting must hold at
+// that edge too: every re-dispatch is suppressed, each task is abandoned
+// exactly once, and the job still completes — past the budget the prototype
+// keeps re-placing.
+TEST(RecoveryLedgerTest, AccountsTheRetryBudget) {
+  struct NoExtra {};
+  for (const uint32_t budget : {0u, 1u, 16u}) {
+    SCOPED_TRACE("retry_budget " + std::to_string(budget));
+    runtime::FaultRecoveryPolicy policy;
+    policy.enabled = true;
+    policy.detection_timeout = std::chrono::milliseconds(10);
+    policy.retry_budget = budget;
+    std::mutex mu;
+    runtime::CompletionSink sink;
+    sink.ExpectJobs({7});
+    using Ledger = runtime::RecoveryLedger<NoExtra>;
+    Ledger ledger(policy, &sink, &mu);
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      Ledger::Job& job = ledger.Admit(runtime::JobSubmitMsg::Make(7, false, 0, {1'000, 1'000}));
+      // Past every deadline, without reading a clock.
+      const Ledger::Clock::time_point later = Ledger::Clock::time_point::max();
+      for (int death = 0; death < 3; ++death) {
+        for (uint32_t i = 0; i < 2; ++i) {
+          ledger.Issue(7, job, i);
+          EXPECT_TRUE(ledger.ReapIfOverdue(job.tasks[i], later));
+          EXPECT_FALSE(ledger.ReapIfOverdue(job.tasks[i], later));  // Now pending.
+        }
+      }
+      ledger.Issue(7, job, 0);
+      ledger.Issue(7, job, 1);
+      EXPECT_NE(ledger.Complete(runtime::TaskMsg::Grant(7, 0, 1'000, false, 0)), nullptr);
+      EXPECT_EQ(ledger.Complete(runtime::TaskMsg::Grant(7, 0, 1'000, false, 0)), nullptr);
+      EXPECT_EQ(ledger.Complete(runtime::TaskMsg::Grant(7, 1, 1'000, false, 0)), nullptr);
+      // A copy presumed dead finishing after its job retired.
+      EXPECT_EQ(ledger.Complete(runtime::TaskMsg::Grant(7, 1, 1'000, false, 0)), nullptr);
+    }
+    const runtime::RecoveryCounters counters = ledger.Counters();
+    const uint64_t within = 2 * std::min<uint64_t>(3, budget);
+    EXPECT_EQ(counters.tasks_re_dispatched, within);
+    EXPECT_EQ(counters.retries_suppressed, 6 - within);
+    EXPECT_EQ(counters.tasks_abandoned, budget < 3 ? 2u : 0u);
+    EXPECT_EQ(counters.duplicate_completions, 2u);
+    uint32_t done = 0;
+    uint32_t total = 0;
+    EXPECT_FALSE(ledger.JobProgress(7, &done, &total));  // Retired.
+    EXPECT_TRUE(sink.AwaitAll(std::chrono::milliseconds(0)).ok());
+  }
+}
+
+// Speculation on the prototype: hawk-spec clones a granted copy that runs
+// past 2x its nominal duration, and stricken slots run 4x slow, so clones
+// launch. Whichever copy finishes first completes the task, and every job
+// completes exactly once (the sink aborts on a second record).
+TEST(PrototypeFaultTest, SpeculationClonesStragglersAndCompletesEachJobOnce) {
+  const Trace trace = WallClockTrace(/*jobs=*/10, /*tasks=*/4, /*task_us=*/20'000,
+                                     /*spacing_us=*/30'000);
   runtime::PrototypeConfig config;
-  config.scheduler = "centralized";  // Every task queues via kTaskPlace.
-  config.hawk.num_workers = 2;
+  config.scheduler = "hawk-spec";
+  config.hawk.num_workers = 8;
   config.hawk.classify_mode = ClassifyMode::kHint;
   config.hawk.net_delay_us = 200;
   config.hawk.util_sample_period_us = 20'000;
-  // Enable the fault layer without any actual fault: 1 us of jitter turns on
-  // the reaper, whose 10 ms detection window is far shorter than the
-  // squeezed job's queueing delay.
-  config.hawk.message_delay_jitter_us = 1;
-  config.fault_detection_timeout = std::chrono::milliseconds(10);
+  config.hawk.straggler_rate = 0.3;
+  config.hawk.straggler_slowdown_factor = 4.0;
+  config.num_frontends = 2;
+  // Scan well inside a straggler's 80 ms so the 40 ms threshold is seen.
   config.reap_period = std::chrono::milliseconds(10);
   config.timeout = std::chrono::milliseconds(60'000);
   const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
   ASSERT_TRUE(result.ok()) << result.status().message();
-  // Exactly one completion per job despite the duplicates.
   ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
-  EXPECT_GT(result.value().counters.tasks_re_dispatched, 0u);
-  EXPECT_GT(result.value().counters.duplicate_completions, 0u);
+  for (size_t i = 0; i < trace.NumJobs(); ++i) {
+    EXPECT_EQ(result.value().jobs[i].id, trace.jobs()[i].id);
+  }
+  // With 40 tasks at rate 0.3 a zero-straggler run is a ~6e-7 event.
+  EXPECT_GT(result.value().counters.tasks_speculated, 0u);
 }
 
 // Real stragglers in the prototype: stricken executor slots actually sleep
