@@ -50,7 +50,7 @@ void BM_StealScan(benchmark::State& state) {
   const int64_t queue_depth = state.range(0);
   for (auto _ : state) {
     state.PauseTiming();
-    hawk::WorkerStore store(1);
+    hawk::WorkerStore store(2);  // Worker 1 is the thief.
     // Worst-ish case: long entry buried mid-queue behind shorts.
     for (int64_t i = 0; i < queue_depth / 2; ++i) {
       store.Enqueue(0, hawk::QueueEntry::Probe(static_cast<hawk::JobId>(i), /*is_long=*/false));
@@ -60,7 +60,7 @@ void BM_StealScan(benchmark::State& state) {
       store.Enqueue(0, hawk::QueueEntry::Probe(static_cast<hawk::JobId>(i), /*is_long=*/false));
     }
     state.ResumeTiming();
-    benchmark::DoNotOptimize(store.ExtractStealableGroup(0));
+    benchmark::DoNotOptimize(store.StealGroupInto(0, /*thief=*/1));
   }
   state.SetItemsProcessed(state.iterations() * queue_depth);
 }

@@ -27,7 +27,8 @@ namespace {
 // precisely the paper's point about stale state over a real network.
 class HawkLbPolicy : public HawkPolicy {
  public:
-  explicit HawkLbPolicy(const HawkConfig& config) : HawkPolicy(config) {}
+  explicit HawkLbPolicy(const HawkConfig& config)
+      : HawkPolicy(config, RuntimeShape{}, "hawk-lb") {}
 
   void OnJobArrival(const Job& job, const JobClass& cls) override {
     if (cls.is_long_sched) {
@@ -45,8 +46,6 @@ class HawkLbPolicy : public HawkPolicy {
       ctx_->PlaceProbe(qa <= qb ? a : b, job.id, false);
     }
   }
-
-  std::string_view Name() const override { return "hawk-lb"; }
 };
 
 struct GridPoint {

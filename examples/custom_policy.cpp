@@ -1,13 +1,14 @@
 // Extending the library: write a new scheduling policy against the public
-// SchedulerPolicy interface, register it in the SchedulerRegistry from
-// OUTSIDE src/, and run and sweep it through the exact same experiment API
-// as the built-in schedulers.
+// policy interface (here by subclassing HawkPolicy), register it in the
+// SchedulerRegistry from OUTSIDE src/, and run and sweep it through the exact
+// same experiment API as the built-in schedulers.
 //
 // The example policy, "hawk-lb", is a Hawk variant whose distributed side
-// probes the LEAST-LOADED of `d` random workers per probe (power-of-two-
-// choices on queue length) instead of plain uniform placement — a natural
-// "what if" on top of the paper's design. It reuses the core building blocks
-// (classifier via the driver, waiting-time queue, stealing policy). One
+// probes the LEAST-LOADED of two random slots' owners per probe (power-of-
+// two-choices on queue length) instead of plain uniform placement — a
+// natural "what if" on top of the paper's design. It subclasses HawkPolicy
+// and overrides only short-job placement; the central long-job lane, its
+// waiting-time feedback, fault re-dispatch and stealing are Hawk's own. One
 // SchedulerRegistration line makes it a first-class experiment citizen:
 // RunExperiment("hawk-lb"), sweep axes, CSV export — everything built-ins get.
 #include <cstdio>
@@ -15,12 +16,10 @@
 
 #include "src/common/flags.h"
 #include "src/core/hawk_config.h"
-#include "src/core/slot_waiting_queue.h"
-#include "src/core/stealing_policy.h"
+#include "src/core/hawk_scheduler.h"
 #include "src/metrics/comparison.h"
 #include "src/metrics/report.h"
 #include "src/scheduler/experiment.h"
-#include "src/scheduler/policy.h"
 #include "src/scheduler/registry.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/google_trace.h"
@@ -28,35 +27,22 @@
 
 namespace {
 
-class HawkLeastLoadedPolicy : public hawk::SchedulerPolicy {
+class HawkLeastLoadedPolicy : public hawk::HawkPolicy {
  public:
-  explicit HawkLeastLoadedPolicy(const hawk::HawkConfig& config) : config_(config) {}
-
-  void Attach(hawk::SchedulerContext* ctx) override {
-    hawk::SchedulerPolicy::Attach(ctx);
-    central_ = std::make_unique<hawk::SlotWaitingTimeQueue>(ctx->GetCluster(),
-                                                            ctx->GetCluster().GeneralCount());
-    stealing_ = std::make_unique<hawk::StealingPolicy>(config_.steal_cap,
-                                                       ctx->SchedRng().Next());
-  }
+  explicit HawkLeastLoadedPolicy(const hawk::HawkConfig& config)
+      : hawk::HawkPolicy(config, hawk::RuntimeShape{}, "hawk-lb") {}
 
   void OnJobArrival(const hawk::Job& job, const hawk::JobClass& cls) override {
     if (cls.is_long_sched) {
-      const hawk::DurationUs estimate = ctx_->Tracker().EstimateUs(job.id);
-      for (uint32_t i = 0; i < job.NumTasks(); ++i) {
-        const auto assignment = ctx_->Tracker().TakeNextTask(job.id);
-        const hawk::WorkerId worker = central_->AssignTask(ctx_->Now(), estimate);
-        ctx_->PlaceTask(worker, job.id, assignment->task_index, assignment->duration, true);
-      }
+      hawk::HawkPolicy::OnJobArrival(job, cls);
       return;
     }
-    // Distributed side with a twist: each probe samples two random *slots*
-    // (so big workers are proportionally more likely candidates) and goes to
-    // the less-loaded owning worker (power of two choices on queue length
-    // plus occupied slots).
+    // Each probe samples two random *slots* (so big workers are
+    // proportionally more likely candidates) and goes to the less-loaded
+    // owning worker (queue length plus occupied slots).
     hawk::Cluster& cluster = ctx_->GetCluster();
     const uint64_t n = cluster.TotalSlots();
-    for (uint32_t p = 0; p < config_.probe_ratio * job.NumTasks(); ++p) {
+    for (uint32_t p = 0; p < config().probe_ratio * job.NumTasks(); ++p) {
       const auto a = cluster.WorkerOfSlot(
           static_cast<hawk::SlotId>(ctx_->SchedRng().NextBounded(n)));
       const auto b = cluster.WorkerOfSlot(
@@ -67,32 +53,6 @@ class HawkLeastLoadedPolicy : public hawk::SchedulerPolicy {
       ctx_->PlaceProbe(qa <= qb ? a : b, job.id, false);
     }
   }
-
-  void OnWorkerIdle(hawk::WorkerId worker) override {
-    const auto stolen = stealing_->TrySteal(ctx_->GetCluster(), worker, &ctx_->Counters());
-    if (!stolen.empty()) {
-      ctx_->DeliverStolen(worker, stolen);
-    }
-  }
-
-  void OnTaskStart(hawk::WorkerId worker, const hawk::QueueEntry& task) override {
-    if (task.is_long) {
-      central_->OnTaskStart(worker, ctx_->Now(), ctx_->Tracker().EstimateUs(task.job));
-    }
-  }
-  void OnTaskFinish(hawk::WorkerId worker, hawk::JobId job, bool is_long) override {
-    (void)job;
-    if (is_long) {
-      central_->OnTaskFinish(worker, ctx_->Now());
-    }
-  }
-
-  std::string_view Name() const override { return "hawk-lb"; }
-
- private:
-  hawk::HawkConfig config_;
-  std::unique_ptr<hawk::SlotWaitingTimeQueue> central_;
-  std::unique_ptr<hawk::StealingPolicy> stealing_;
 };
 
 // The extension point: one registration line and "hawk-lb" can be run,

@@ -100,22 +100,6 @@ size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
   return end - begin;
 }
 
-std::vector<QueueEntry> WorkerStore::ExtractStealableGroup(WorkerId id) {
-  std::vector<QueueEntry> stolen;
-  const size_t begin = StealableGroupBegin(id);
-  const RingBuffer<QueueEntry>& queue = queues_[id];
-  if (begin >= queue.Size()) {
-    return stolen;
-  }
-  size_t end = begin;
-  while (end < queue.Size() && !queue.At(end).is_long) {
-    stolen.push_back(queue.At(end));
-    ++end;
-  }
-  RemoveGroup(id, begin, end);
-  return stolen;
-}
-
 void WorkerStore::RemoveGroup(WorkerId id, size_t begin, size_t end) {
   const size_t i = Check(id);
   for (size_t k = begin; k < end; ++k) {

@@ -283,11 +283,6 @@ class WorkerStore {
   // intermediate buffer) and returns the number of entries moved.
   size_t StealGroupInto(WorkerId victim, WorkerId thief);
 
-  // Removes and returns the stealable group (empty vector when there is no
-  // head-of-line blocking to relieve). Compatibility path for tests and
-  // custom policies; the simulation hot path uses StealGroupInto.
-  std::vector<QueueEntry> ExtractStealableGroup(WorkerId id);
-
   // True iff the stealable group is non-empty.
   bool HasStealableGroup(WorkerId id) const {
     return StealableGroupBegin(id) < queues_[id].Size();

@@ -1,15 +1,23 @@
-// The Hawk hybrid scheduler (paper §3) — the primary contribution.
+// The Hawk hybrid scheduler (paper §3) — the primary contribution — and, run
+// from other design shapes, every built-in baseline.
 //
-// Long jobs are placed by a centralized waiting-time queue restricted to the
-// general partition; short jobs are probed Sparrow-style over the entire
-// cluster; idle workers steal blocked short work from random general-
-// partition victims. Each mechanism has a toggle so the §4.4 component
-// breakdown ("Hawk w/out centralized / partition / stealing") runs through
-// the exact same code.
+// A HawkPolicy executes a RuntimeShape, the description the prototype
+// runtime assembles its control plane from. A class the shape centralizes is
+// placed by the §3.7 waiting-time queue over the general partition; every
+// other class is probed Sparrow-style over its slot span (§3.5); idle
+// workers steal blocked short work from random general-partition victims
+// when the shape steals (§3.6). Hawk's design shape is RuntimeShape{}; the
+// paper's baselines are Hawk with parts taken away — sparrow, centralized and
+// split are shape literals at their registration (experiment.cc) — and the
+// §4.4 component toggles ("Hawk w/out centralized / partition / stealing")
+// take parts away from whichever design the policy runs.
 #ifndef HAWK_CORE_HAWK_SCHEDULER_H_
 #define HAWK_CORE_HAWK_SCHEDULER_H_
 
 #include <memory>
+#include <string>
+#include <string_view>
+#include <vector>
 
 #include "src/core/hawk_config.h"
 #include "src/core/slot_waiting_queue.h"
@@ -20,45 +28,51 @@ namespace hawk {
 
 class HawkPolicy : public SchedulerPolicy {
  public:
-  // `victim_selection` picks the steal-victim contact order; kDChoice is the
-  // "hawk-dchoice" registered variant (most-loaded victim first).
-  explicit HawkPolicy(const HawkConfig& config,
-                      StealingPolicy::VictimSelection victim_selection =
-                          StealingPolicy::VictimSelection::kRandom)
-      : config_(config), victim_selection_(victim_selection) {}
+  // `design` is the shape before the config's toggles apply; `name` is what
+  // Name() reports.
+  explicit HawkPolicy(const HawkConfig& config, const RuntimeShape& design = RuntimeShape{},
+                      std::string_view name = "hawk")
+      : config_(config), name_(name) {
+    design_ = design;
+  }
 
   void Attach(SchedulerContext* ctx) override;
-
-  RuntimeShape ShapeForRuntime(const HawkConfig& config) const override {
-    RuntimeShape shape = SchedulerPolicy::ShapeForRuntime(config);
-    shape.victim_selection = victim_selection_;
-    return shape;
-  }
 
   void OnJobArrival(const Job& job, const JobClass& cls) override;
   void OnWorkerIdle(WorkerId worker) override;
   void OnTaskStart(WorkerId worker, const QueueEntry& task) override;
   void OnTaskFinish(WorkerId worker, JobId job, bool is_long) override;
   void OnTaskLost(JobId job, bool is_long) override;
+  void OnProbeLost(JobId job, bool is_long) override;
 
-  std::string_view Name() const override { return "hawk"; }
+  std::string_view Name() const override { return name_; }
 
   const HawkConfig& config() const { return config_; }
-  const SlotWaitingTimeQueue& waiting_times() const { return *central_queue_; }
 
  protected:
-  // The long-job lane. Virtual so the "hawk-latebind" variant can swap the
-  // eager task binding for probe placement without duplicating the routing
-  // in OnJobArrival.
-  virtual void ScheduleLongCentralized(const Job& job, const JobClass& cls);
+  // Whether the resolved shape places `is_long`'s class centrally.
+  bool Centralized(bool is_long) const {
+    return is_long ? shape_.centralized_long : shape_.centralized_short;
+  }
+
+  // Places every task of a centrally placed job. Virtual so "hawk-latebind"
+  // can aim probes at the minimum-wait workers instead of binding eagerly.
+  virtual void ScheduleCentralized(const Job& job, bool is_long);
 
   SlotWaitingTimeQueue& central_queue() { return *central_queue_; }
 
  private:
-  void ScheduleDistributed(const Job& job, const JobClass& cls, SlotId first, uint32_t count);
+  // Binds the job's next task to the minimum-wait worker.
+  void PlaceCentralTask(JobId job, DurationUs estimate_us, bool is_long);
+  // One replacement probe on a uniformly random slot of the class's span.
+  void ProbeOnce(JobId job, bool is_long);
 
   HawkConfig config_;
-  StealingPolicy::VictimSelection victim_selection_;
+  std::string name_;
+  // The design shape resolved against config_ (ShapeForRuntime) at Attach.
+  RuntimeShape shape_;
+  // Probe span per class, indexed by is_long.
+  SlotSpan spans_[2];
   // Waiting-time queue over the general partition's slots only (§3.7).
   std::unique_ptr<SlotWaitingTimeQueue> central_queue_;
   std::unique_ptr<StealingPolicy> stealing_;
@@ -75,14 +89,13 @@ class HawkSpecPolicy : public HawkPolicy {
  public:
   static constexpr double kDefaultSpeculationThreshold = 2.0;
 
-  using HawkPolicy::HawkPolicy;
+  explicit HawkSpecPolicy(const HawkConfig& config)
+      : HawkPolicy(config, RuntimeShape{}, "hawk-spec") {}
 
   double SpeculationThreshold(const HawkConfig& config) const override {
     return config.speculation_threshold > 0.0 ? config.speculation_threshold
                                               : kDefaultSpeculationThreshold;
   }
-
-  std::string_view Name() const override { return "hawk-spec"; }
 };
 
 // "hawk-latebind" registered variant: the centralized long-job lane places
@@ -92,20 +105,17 @@ class HawkSpecPolicy : public HawkPolicy {
 // AssignTask charge per probe, discharged when the granted task starts on
 // that worker, which the per-worker FIFO protocol covers because a worker
 // serves its probes in placement order. Lost probes are replaced through the
-// waiting-time queue (not a random re-probe) so the min-wait property
+// waiting-time queue (HawkPolicy::OnProbeLost) so the min-wait property
 // survives faults. On the prototype runtime the variant degrades to the
 // eager centralized backend, like every placement nuance that needs live
 // central state (see RuntimeShape).
 class HawkLateBindPolicy : public HawkPolicy {
  public:
-  using HawkPolicy::HawkPolicy;
-
-  void OnProbeLost(JobId job, bool is_long) override;
-
-  std::string_view Name() const override { return "hawk-latebind"; }
+  explicit HawkLateBindPolicy(const HawkConfig& config)
+      : HawkPolicy(config, RuntimeShape{}, "hawk-latebind") {}
 
  protected:
-  void ScheduleLongCentralized(const Job& job, const JobClass& cls) override;
+  void ScheduleCentralized(const Job& job, bool is_long) override;
 };
 
 }  // namespace hawk

@@ -23,8 +23,7 @@ namespace hawk {
 
 // Fills `*targets` with `num_probes` worker ids in [first, first + count),
 // reusing the capacity of `*targets` and `*picks_scratch` so a warmed-up
-// policy places probes without allocating. Draw sequence matches the
-// returning overload below.
+// policy places probes without allocating.
 inline void ChooseProbeTargetsInto(Rng& rng, WorkerId first, uint32_t count,
                                    uint32_t num_probes, std::vector<WorkerId>* targets,
                                    std::vector<uint32_t>* picks_scratch) {
@@ -44,15 +43,6 @@ inline void ChooseProbeTargetsInto(Rng& rng, WorkerId first, uint32_t count,
       targets->push_back(first + pick);
     }
   }
-}
-
-// Returns `num_probes` worker ids in [first, first + count).
-inline std::vector<WorkerId> ChooseProbeTargets(Rng& rng, WorkerId first, uint32_t count,
-                                                uint32_t num_probes) {
-  std::vector<WorkerId> targets;
-  std::vector<uint32_t> picks;
-  ChooseProbeTargetsInto(rng, first, count, num_probes, &targets, &picks);
-  return targets;
 }
 
 }  // namespace hawk

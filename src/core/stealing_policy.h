@@ -5,7 +5,7 @@
 // short-partition workers may steal, but victims are always in the general
 // partition — "that is where the head-of-line blocking is caused by long
 // jobs". What is stolen is the first consecutive group of short entries
-// after a long entry (WorkerStore::ExtractStealableGroup, Fig. 3).
+// after a long entry (WorkerStore::StealGroupInto, Fig. 3).
 //
 // Victim candidates are drawn from the general partition's *slot* space
 // (excluding the thief's own slots), so a big multi-slot worker is
@@ -101,40 +101,14 @@ class StealingPolicy {
     }
   }
 
-  // Attempts one steal for `thief`, moving the first eligible victim's
-  // stealable group straight onto the thief's queue (no intermediate
-  // buffer). Returns the number of entries stolen; updates the steal
-  // counters in `counters`. This is the simulation hot path: the victim
-  // sample is drawn into a reused member buffer, so a failed attempt
-  // allocates nothing.
+  // Attempts one steal for `thief`: contacts the victims ChooseVictimsInto
+  // lists (the same selection the prototype's node monitors use) in order
+  // and moves the first eligible victim's stealable group straight onto the
+  // thief's queue (no intermediate buffer). Returns the number of entries
+  // stolen; updates the steal counters in `counters`. This is the
+  // simulation hot path: the victim sample is drawn into a reused member
+  // buffer, so a failed attempt allocates nothing.
   size_t TryStealInto(Cluster& cluster, WorkerId thief, RunCounters* counters) {
-    return ForEachVictim(cluster, thief, counters, [&cluster, thief](WorkerId victim) {
-      return cluster.workers().StealGroupInto(victim, thief);
-    });
-  }
-
-  // Compatibility path for tests and custom policies: returns the stolen
-  // entries instead of delivering them; the entries have already been
-  // removed from the victim. Same victim-selection loop as TryStealInto, so
-  // draw sequence and steal outcome are identical.
-  std::vector<QueueEntry> TrySteal(Cluster& cluster, WorkerId thief, RunCounters* counters) {
-    std::vector<QueueEntry> stolen;
-    ForEachVictim(cluster, thief, counters, [&cluster, &stolen](WorkerId victim) {
-      stolen = cluster.workers().ExtractStealableGroup(victim);
-      return stolen.size();
-    });
-    return stolen;
-  }
-
- private:
-  // Shared victim loop: obtains the attempt's contact list through
-  // ChooseVictimsInto (the same selection the prototype's node monitors
-  // use), probes victims in that order via `try_victim(victim) -> entries
-  // stolen`, and stops at the first success. Updates the steal counters;
-  // returns the number of entries stolen.
-  template <typename TryVictim>
-  size_t ForEachVictim(Cluster& cluster, WorkerId thief, RunCounters* counters,
-                       TryVictim&& try_victim) {
     if (cap_ == 0) {
       return 0;
     }
@@ -142,7 +116,7 @@ class StealingPolicy {
     ChooseVictimsInto(cluster, thief, &victims_);
     for (const WorkerId victim : victims_) {
       counters->steal_victim_probes++;
-      const size_t stolen = try_victim(victim);
+      const size_t stolen = cluster.workers().StealGroupInto(victim, thief);
       if (stolen > 0) {
         counters->steal_successes++;
         counters->entries_stolen += stolen;
@@ -152,6 +126,7 @@ class StealingPolicy {
     return 0;
   }
 
+ private:
   uint32_t cap_;
   VictimSelection selection_;
   Rng rng_;

@@ -309,7 +309,7 @@ void NodeMonitor::TryStealLocked() {
 }
 
 std::vector<ProbeMsg> NodeMonitor::ExtractStealableLocked() {
-  // Mirror of WorkerStore::ExtractStealableGroup (Fig. 3): the first
+  // Mirror of WorkerStore::StealGroupInto (Fig. 3): the first
   // consecutive group of short probes following a long entry in
   // [occupied slots, queue...] order. Occupied long work — executing long
   // tasks or in-flight long probes — counts like a long entry at the head,

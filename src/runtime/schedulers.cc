@@ -8,29 +8,6 @@
 
 namespace hawk {
 namespace runtime {
-namespace {
-
-// Resolves a RuntimeShape probe span to a slot range of the layout cluster.
-void SpanSlotRange(const Cluster& layout, RuntimeShape::ProbeSpan span, SlotId* first,
-                   uint32_t* count) {
-  switch (span) {
-    case RuntimeShape::ProbeSpan::kWholeCluster:
-      *first = 0;
-      *count = static_cast<uint32_t>(layout.TotalSlots());
-      return;
-    case RuntimeShape::ProbeSpan::kGeneralPartition:
-      *first = 0;
-      *count = layout.GeneralSlots();
-      return;
-    case RuntimeShape::ProbeSpan::kShortPartition:
-      *first = layout.GeneralSlots();
-      *count = static_cast<uint32_t>(layout.TotalSlots() - layout.GeneralSlots());
-      return;
-  }
-  HAWK_CHECK(false) << "unhandled probe span";
-}
-
-}  // namespace
 
 // --- CompletionSink ---------------------------------------------------------
 
@@ -136,12 +113,10 @@ void DistributedFrontend::SendProbesLocked(JobId job, Ledger::Job& state, uint32
   // Shared §3.5 placement: sample `count` slots without replacement from the
   // span the policy shape declares for this class, weighting workers by
   // capacity, and map each slot to its owning node monitor.
-  SlotId first = 0;
-  uint32_t span_count = 0;
-  SpanSlotRange(*layout_, state.is_long ? shape_.long_probe_span : shape_.short_probe_span,
-                &first, &span_count);
-  HAWK_CHECK_GT(span_count, 0u) << "probe span is empty for job " << job;
-  ChooseProbeTargetsInto(rng_, first, span_count, count, &targets_, &picks_);
+  const SlotSpan span = ResolveProbeSpan(
+      *layout_, state.is_long ? shape_.long_probe_span : shape_.short_probe_span);
+  HAWK_CHECK_GT(span.count, 0u) << "probe span is empty for job " << job;
+  ChooseProbeTargetsInto(rng_, span.first, span.count, count, &targets_, &picks_);
   for (SlotId slot : targets_) {
     // Detector steering: a probe aimed at a suspected node is re-drawn a few
     // times rather than filtered — the probe count must not shrink (fewer
@@ -152,7 +127,7 @@ void DistributedFrontend::SendProbesLocked(JobId job, Ledger::Job& state, uint32
     if (detector_ != nullptr) {
       for (int redraw = 0;
            redraw < 4 && detector_->Suspected(layout_->WorkerOfSlot(slot)); ++redraw) {
-        slot = first + static_cast<SlotId>(rng_.NextBounded(span_count));
+        slot = span.first + static_cast<SlotId>(rng_.NextBounded(span.count));
       }
     }
     const ProbeMsg probe = ProbeMsg::Make(job, address_, slot, state.is_long);

@@ -6,31 +6,52 @@
 
 #include "src/common/check.h"
 #include "src/core/hawk_scheduler.h"
-#include "src/scheduler/centralized.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/registry.h"
 #include "src/scheduler/sharded_driver.h"
-#include "src/scheduler/sparrow.h"
-#include "src/scheduler/split.h"
 #include "src/scheduler/sweep_runner.h"
 
 namespace hawk {
 namespace {
 
-// The four built-in schedulers self-register through the same public
-// mechanism external variants use (see examples/custom_policy.cpp). Any
-// binary that runs experiments links this translation unit, so the names are
-// always available to RunExperiment/RunSweep.
+// The built-in schedulers self-register through the same public mechanism
+// external variants use (see examples/custom_policy.cpp). Any binary that
+// runs experiments links this translation unit, so the names are always
+// available to RunExperiment/RunSweep. Every one is a HawkPolicy running a
+// design shape: the paper's baselines are Hawk with parts taken away, and
+// the same shape drives the prototype runtime.
+
+// Sparrow (§2.3), the primary baseline: every job probed over the whole
+// cluster; no central lane, no partition, no stealing.
+RuntimeShape SparrowShape() {
+  RuntimeShape shape;
+  shape.centralized_long = false;
+  shape.stealing = false;
+  shape.long_probe_span = RuntimeShape::ProbeSpan::kWholeCluster;
+  return shape;
+}
+
 const SchedulerRegistration kRegisterSparrow(
     std::string(kSchedulerSparrow),
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<SparrowPolicy>(config.probe_ratio);
+      return std::make_unique<HawkPolicy>(config, SparrowShape(), kSchedulerSparrow);
     });
+
+// Fully centralized (§4.5): every job, both classes, placed by the
+// waiting-time queue over the whole cluster (no general_count hook, so the
+// general partition is the whole cluster); no stealing.
+RuntimeShape CentralizedShape() {
+  RuntimeShape shape;
+  shape.centralized_long = true;
+  shape.centralized_short = true;
+  shape.stealing = false;
+  return shape;
+}
 
 const SchedulerRegistration kRegisterCentralized(
     std::string(kSchedulerCentralized),
-    [](const HawkConfig&) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<CentralizedPolicy>();
+    [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
+      return std::make_unique<HawkPolicy>(config, CentralizedShape(), kSchedulerCentralized);
     });
 
 const SchedulerRegistration kRegisterHawk(
@@ -47,7 +68,9 @@ const SchedulerRegistration kRegisterHawk(
 const SchedulerRegistration kRegisterHawkDChoice(
     "hawk-dchoice",
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<HawkPolicy>(config, StealingPolicy::VictimSelection::kDChoice);
+      RuntimeShape shape;
+      shape.victim_selection = StealingPolicy::VictimSelection::kDChoice;
+      return std::make_unique<HawkPolicy>(config, shape, "hawk-dchoice");
     },
     [](const HawkConfig& config) { return config.GeneralCount(); });
 
@@ -72,14 +95,24 @@ const SchedulerRegistration kRegisterHawkLateBind(
     },
     [](const HawkConfig& config) { return config.GeneralCount(); });
 
-// The empty-short-partition precondition is enforced in
-// SplitClusterPolicy::Attach (simulation) and by RunPrototype's span check
-// (runtime, as a clean Status) — not here: factories must stay abort-free so
-// the prototype can construct a policy just to read its RuntimeShape.
+// Split cluster (§4.6): long jobs placed centrally on the long partition,
+// short jobs probed over the disjoint short partition; no sharing, no
+// stealing. The non-empty-short-partition precondition is enforced in
+// HawkPolicy::Attach (simulation) and by RunPrototype's span check (runtime,
+// as a clean Status) — not here: factories must stay abort-free so the
+// prototype can construct a policy just to read its RuntimeShape.
+RuntimeShape SplitShape() {
+  RuntimeShape shape;
+  shape.centralized_long = true;
+  shape.stealing = false;
+  shape.short_probe_span = RuntimeShape::ProbeSpan::kShortPartition;
+  return shape;
+}
+
 const SchedulerRegistration kRegisterSplit(
     std::string(kSchedulerSplit),
     [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-      return std::make_unique<SplitClusterPolicy>(config.probe_ratio);
+      return std::make_unique<HawkPolicy>(config, SplitShape(), kSchedulerSplit);
     },
     [](const HawkConfig& config) { return config.GeneralCount(); });
 

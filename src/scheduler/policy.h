@@ -2,8 +2,8 @@
 //
 // A policy decides *where* probes and tasks go; the simulation driver owns
 // *when* things happen (network delays, queue mechanics, late binding) and
-// exposes the minimal placement API below. The same policies are reused by
-// the threaded prototype runtime through an equivalent context.
+// exposes the minimal placement API below. The threaded prototype runtime
+// deploys the same registered policies from their RuntimeShape.
 #ifndef HAWK_SCHEDULER_POLICY_H_
 #define HAWK_SCHEDULER_POLICY_H_
 
@@ -51,27 +51,28 @@ class SchedulerContext {
   virtual void DeliverStolen(WorkerId thief, const std::vector<QueueEntry>& entries) = 0;
 };
 
-// How the threaded prototype runtime (src/runtime/) realizes a policy's
-// control plane. The simulator drives a policy's placement decisions
-// synchronously against shared cluster state; the prototype cannot — its
-// state lives across node-monitor threads — so a policy instead *describes*
-// its control-plane shape and the runtime assembles the matching frontends,
-// backend, and stealing configuration from the shared src/core/ components.
-// Probe placement is uniform over the declared slot span (the paper's
-// §3.5 mechanism); a policy whose simulated placement inspects live queue
-// state (e.g. the "hawk-lb" example) degrades to uniform probing on the
-// prototype — exactly the paper's argument that such state is impractical
-// to keep fresh over a real network.
+// A scheduler's control-plane shape, read by both executors. The threaded
+// prototype runtime (src/runtime/) assembles the matching frontends, backend
+// and stealing configuration from it, since its state lives across
+// node-monitor threads; in the simulator, HawkPolicy's callbacks branch on
+// the same fields, and the driver gates steal retries on `stealing`. Every
+// built-in scheduler is a HawkPolicy with its own design shape: the paper's
+// baselines are Hawk with parts taken away. Probe placement is uniform over
+// the declared slot span (the paper's §3.5 mechanism); a policy whose
+// simulated placement inspects live queue state (e.g. the "hawk-lb" example)
+// degrades to uniform probing on the prototype — exactly the paper's argument
+// that such state is impractical to keep fresh over a real network.
 struct RuntimeShape {
   // Slot spans, resolved against the runtime's cluster layout. The general
   // partition is a slot-id prefix, the short partition the complementary
   // suffix (see Cluster).
   enum class ProbeSpan : uint8_t { kWholeCluster, kGeneralPartition, kShortPartition };
 
-  // Long jobs go to the centralized backend (§3.7 waiting-time queue over
-  // the general partition). Off: they are probed over long_probe_span.
+  // Long jobs are placed centrally: by the §3.7 waiting-time queue over the
+  // general partition (the prototype's backend, HawkPolicy's central queue).
+  // Off: they are probed over long_probe_span.
   bool centralized_long = true;
-  // Short jobs go to the centralized backend too (the §4.5 baseline).
+  // Short jobs are placed centrally too (the §4.5 baseline).
   bool centralized_short = false;
   // Idle node monitors steal blocked short work (§3.6).
   bool stealing = true;
@@ -82,21 +83,43 @@ struct RuntimeShape {
   ProbeSpan long_probe_span = ProbeSpan::kGeneralPartition;
 };
 
+// A slot-id range [first, first + count).
+struct SlotSpan {
+  SlotId first = 0;
+  uint32_t count = 0;
+};
+
+// Resolves a probe span against `cluster`'s partition layout.
+inline SlotSpan ResolveProbeSpan(const Cluster& cluster, RuntimeShape::ProbeSpan span) {
+  const auto total = static_cast<uint32_t>(cluster.TotalSlots());
+  switch (span) {
+    case RuntimeShape::ProbeSpan::kWholeCluster:
+      return SlotSpan{0, total};
+    case RuntimeShape::ProbeSpan::kGeneralPartition:
+      return SlotSpan{0, cluster.GeneralSlots()};
+    case RuntimeShape::ProbeSpan::kShortPartition:
+      return SlotSpan{cluster.GeneralSlots(), total - cluster.GeneralSlots()};
+  }
+  HAWK_CHECK(false) << "unhandled probe span";
+  return SlotSpan{};
+}
+
 class SchedulerPolicy {
  public:
   virtual ~SchedulerPolicy() = default;
 
   virtual void Attach(SchedulerContext* ctx) { ctx_ = ctx; }
 
-  // Control-plane shape for the prototype runtime. The default derives a
-  // Hawk-family shape from the config's §4.4 component toggles, which is
-  // also right for externally registered Hawk variants; non-hybrid policies
-  // (Sparrow, centralized, split) override. Called on a fresh, unattached
+  // The shape both executors read (see RuntimeShape): the policy's design
+  // shape resolved against the config's §4.4 component toggles.
+  // use_centralized_long=0 removes the long central lane, and stealing needs
+  // use_stealing and a non-zero steal_cap; use_partition acts through the
+  // registry's general-partition size instead. Called on a fresh, unattached
   // instance — implementations must not touch ctx_.
   virtual RuntimeShape ShapeForRuntime(const HawkConfig& config) const {
-    RuntimeShape shape;
-    shape.centralized_long = config.use_centralized_long;
-    shape.stealing = config.use_stealing && config.steal_cap > 0;
+    RuntimeShape shape = design_;
+    shape.centralized_long = shape.centralized_long && config.use_centralized_long;
+    shape.stealing = shape.stealing && config.use_stealing && config.steal_cap > 0;
     return shape;
   }
 
@@ -182,6 +205,9 @@ class SchedulerPolicy {
   }
 
   SchedulerContext* ctx_ = nullptr;
+  // The shape this policy is built to run before the toggles apply. The
+  // default is Hawk's own, which externally registered Hawk variants share.
+  RuntimeShape design_;
 };
 
 }  // namespace hawk

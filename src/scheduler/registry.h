@@ -1,12 +1,14 @@
 // Open scheduler registry: string names -> factories producing
 // SchedulerPolicy instances from a HawkConfig.
 //
-// The four built-in schedulers (sparrow, centralized, hawk, split) register
-// themselves when the experiment layer is linked in; external code — examples,
-// downstream users — registers new variants through the exact same mechanism
-// (see examples/custom_policy.cpp, which adds "hawk-lb" from outside src/).
-// A registered name is a first-class experiment citizen: it can be run,
-// swept, compared and exported like any built-in.
+// The built-in schedulers (sparrow, centralized, hawk, split and the hawk-*
+// variants) register themselves when the experiment layer is linked in, each
+// a HawkPolicy running its design RuntimeShape — the shape that then drives
+// both executors. External code — examples, downstream users — registers new
+// variants through the exact same mechanism (see examples/custom_policy.cpp,
+// which adds "hawk-lb" from outside src/). A registered name is a
+// first-class experiment citizen: it can be run, swept, compared and
+// exported like any built-in.
 #ifndef HAWK_SCHEDULER_REGISTRY_H_
 #define HAWK_SCHEDULER_REGISTRY_H_
 

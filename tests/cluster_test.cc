@@ -4,6 +4,8 @@
 // accounting, and late-binding job tracking.
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/cluster/cluster.h"
 #include "src/cluster/job_tracker.h"
 #include "src/cluster/worker_store.h"
@@ -207,15 +209,28 @@ TEST(SlotSpecTest, EvenSpreadIsDeterministicAndExact) {
 }
 
 // --- Fig. 3 steal-group extraction -----------------------------------------
+// Each store holds the victim (worker 0) and an empty thief (worker 1).
+
+// Steals worker 0's stealable group onto worker 1 and returns the entries
+// that arrived there, read back from the thief's queue.
+std::vector<QueueEntry> StealOntoWorker1(WorkerStore& store) {
+  const size_t before = store.QueueSize(1);
+  const size_t moved = store.StealGroupInto(0, /*thief=*/1);
+  std::vector<QueueEntry> stolen;
+  for (size_t i = before; i < before + moved; ++i) {
+    stolen.push_back(store.QueueAt(1, i));
+  }
+  return stolen;
+}
 
 TEST(StealScanTest, CaseA1_ExecutingShortGroupAfterLongInQueue) {
   // a1) executing short; queue = [L, S, S] -> steal the two shorts.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, ShortTask(1));
   store.Enqueue(0, LongTask(2));
   store.Enqueue(0, ShortProbe(3));
   store.Enqueue(0, ShortProbe(4));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 2u);
   EXPECT_EQ(stolen[0].job, 3u);
   EXPECT_EQ(stolen[1].job, 4u);
@@ -225,14 +240,14 @@ TEST(StealScanTest, CaseA1_ExecutingShortGroupAfterLongInQueue) {
 TEST(StealScanTest, CaseA2_GroupEndsAtNextLong) {
   // a2) executing short; queue = [S, L, S, L, S] -> steal only the first
   // group after the first long (one entry).
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, ShortTask(1));
   store.Enqueue(0, ShortProbe(2));
   store.Enqueue(0, LongTask(3));
   store.Enqueue(0, ShortProbe(4));
   store.Enqueue(0, LongTask(5));
   store.Enqueue(0, ShortProbe(6));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 1u);
   EXPECT_EQ(stolen[0].job, 4u);
   // Queue keeps [S(2), L(3), L(5), S(6)].
@@ -241,12 +256,12 @@ TEST(StealScanTest, CaseA2_GroupEndsAtNextLong) {
 
 TEST(StealScanTest, CaseB1_ExecutingLongStealsHeadGroup) {
   // b1) executing long; queue = [S, S, L] -> steal the head shorts.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, LongTask(1));
   store.Enqueue(0, ShortProbe(2));
   store.Enqueue(0, ShortProbe(3));
   store.Enqueue(0, LongTask(4));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 2u);
   EXPECT_EQ(stolen[0].job, 2u);
   EXPECT_EQ(stolen[1].job, 3u);
@@ -255,12 +270,12 @@ TEST(StealScanTest, CaseB1_ExecutingLongStealsHeadGroup) {
 TEST(StealScanTest, CaseB2_ExecutingLongQueueStartsLong) {
   // b2) executing long; queue = [L, S, S] -> steal the shorts after the
   // queued long.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, LongTask(1));
   store.Enqueue(0, LongTask(2));
   store.Enqueue(0, ShortProbe(3));
   store.Enqueue(0, ShortProbe(4));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 2u);
   EXPECT_EQ(stolen[0].job, 3u);
 }
@@ -268,49 +283,49 @@ TEST(StealScanTest, CaseB2_ExecutingLongQueueStartsLong) {
 TEST(StealScanTest, NoLongInvolvedNothingStolen) {
   // Executing short with only short entries: no head-of-line blocking by a
   // long task, nothing eligible.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, ShortTask(1));
   store.Enqueue(0, ShortProbe(2));
   store.Enqueue(0, ShortProbe(3));
   EXPECT_FALSE(store.HasStealableGroup(0));
-  EXPECT_TRUE(store.ExtractStealableGroup(0).empty());
+  EXPECT_TRUE(StealOntoWorker1(store).empty());
   EXPECT_EQ(store.QueueSize(0), 2u);
 }
 
 TEST(StealScanTest, AllLongNothingStolen) {
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, LongTask(1));
   store.Enqueue(0, LongTask(2));
   store.Enqueue(0, LongTask(3));
-  EXPECT_TRUE(store.ExtractStealableGroup(0).empty());
+  EXPECT_TRUE(StealOntoWorker1(store).empty());
 }
 
 TEST(StealScanTest, IdleWorkerWithBlockedQueue) {
   // Worker not executing (e.g. between dispatches): queue = [L, S] -> the
   // short after the long is eligible.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.Enqueue(0, LongTask(1));
   store.Enqueue(0, ShortProbe(2));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 1u);
   EXPECT_EQ(stolen[0].job, 2u);
 }
 
 TEST(StealScanTest, RequestingShortProbeDoesNotCountAsLong) {
   // Worker resolving a short probe; queue all short: nothing eligible.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginRequest(0, /*probe_is_long=*/false);
   store.Enqueue(0, ShortProbe(2));
-  EXPECT_TRUE(store.ExtractStealableGroup(0).empty());
+  EXPECT_TRUE(StealOntoWorker1(store).empty());
 }
 
 TEST(StealScanTest, RequestingLongProbeCountsAsLong) {
   // In the no-centralized ablation, long jobs probe too; an in-flight long
   // probe blocks the head shorts just like an executing long task.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginRequest(0, /*probe_is_long=*/true);
   store.Enqueue(0, ShortProbe(2));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 1u);
   EXPECT_EQ(stolen[0].job, 2u);
 }
@@ -321,13 +336,13 @@ TEST(StealScanTest, PartiallyFullMultiSlotWorkerScreensOnOccupiedLong) {
   // even while other slots are free or running shorts.
   SlotSpec spec;
   spec.slots_per_worker = 3;
-  WorkerStore store(1, spec);
+  WorkerStore store(2, spec);
   store.BeginExecute(0, 0, ShortTask(1));
   store.BeginExecute(0, 0, LongTask(2));  // One slot still free.
   store.Enqueue(0, ShortProbe(3));
   store.Enqueue(0, ShortProbe(4));
   EXPECT_TRUE(store.HasStealableGroup(0));
-  const auto stolen = store.ExtractStealableGroup(0);
+  const auto stolen = StealOntoWorker1(store);
   ASSERT_EQ(stolen.size(), 2u);
   EXPECT_EQ(stolen[0].job, 3u);
 
@@ -339,14 +354,14 @@ TEST(StealScanTest, PartiallyFullMultiSlotWorkerScreensOnOccupiedLong) {
 
 TEST(StealScanTest, ExtractIsRepeatable) {
   // After stealing the first group, the next group becomes eligible.
-  WorkerStore store(1);
+  WorkerStore store(2);
   store.BeginExecute(0, 0, LongTask(1));
   store.Enqueue(0, ShortProbe(2));
   store.Enqueue(0, LongTask(3));
   store.Enqueue(0, ShortProbe(4));
-  EXPECT_EQ(store.ExtractStealableGroup(0).size(), 1u);
-  EXPECT_EQ(store.ExtractStealableGroup(0).size(), 1u);
-  EXPECT_TRUE(store.ExtractStealableGroup(0).empty());
+  EXPECT_EQ(StealOntoWorker1(store).size(), 1u);
+  EXPECT_EQ(StealOntoWorker1(store).size(), 1u);
+  EXPECT_TRUE(StealOntoWorker1(store).empty());
   EXPECT_EQ(store.QueueSize(0), 1u);  // Only L(3) remains.
 }
 

@@ -217,7 +217,9 @@ TEST(WaitingTimeQueueTest, MatchesNaiveReferenceModel) {
 
 TEST(ProbePlacementTest, DistinctWhenFitting) {
   Rng rng(3);
-  const auto targets = ChooseProbeTargets(rng, 10, 100, 40);
+  std::vector<WorkerId> targets;
+  std::vector<uint32_t> picks;
+  ChooseProbeTargetsInto(rng, 10, 100, 40, &targets, &picks);
   EXPECT_EQ(targets.size(), 40u);
   std::set<WorkerId> unique(targets.begin(), targets.end());
   EXPECT_EQ(unique.size(), 40u);
@@ -230,7 +232,9 @@ TEST(ProbePlacementTest, DistinctWhenFitting) {
 TEST(ProbePlacementTest, SpreadsWholeRoundsWhenOverflowing) {
   // 25 probes over 10 workers: every worker gets 2, a distinct 5 get 3.
   Rng rng(5);
-  const auto targets = ChooseProbeTargets(rng, 0, 10, 25);
+  std::vector<WorkerId> targets;
+  std::vector<uint32_t> picks;
+  ChooseProbeTargetsInto(rng, 0, 10, 25, &targets, &picks);
   EXPECT_EQ(targets.size(), 25u);
   std::vector<int> counts(10, 0);
   for (const WorkerId w : targets) {
@@ -248,8 +252,11 @@ TEST(ProbePlacementTest, SpreadsWholeRoundsWhenOverflowing) {
 
 TEST(ProbePlacementTest, NeverFewerProbesThanRequested) {
   Rng rng(7);
+  std::vector<WorkerId> targets;
+  std::vector<uint32_t> picks;
   for (const uint32_t probes : {1u, 7u, 63u, 64u, 65u, 500u}) {
-    EXPECT_EQ(ChooseProbeTargets(rng, 0, 64, probes).size(), probes);
+    ChooseProbeTargetsInto(rng, 0, 64, probes, &targets, &picks);
+    EXPECT_EQ(targets.size(), probes);
   }
 }
 
@@ -262,9 +269,8 @@ TEST(StealingPolicyTest, StealsFromGeneralPartitionVictim) {
   cluster.workers().Enqueue(3, QueueEntry::Probe(2, /*is_long=*/false));
   StealingPolicy policy(/*cap=*/10, /*seed=*/1);
   RunCounters counters;
-  const auto stolen = policy.TrySteal(cluster, /*thief=*/9, &counters);
-  ASSERT_EQ(stolen.size(), 1u);
-  EXPECT_EQ(stolen[0].job, 2u);
+  ASSERT_EQ(policy.TryStealInto(cluster, /*thief=*/9, &counters), 1u);
+  EXPECT_EQ(cluster.workers().QueueAt(9, 0).job, 2u);
   EXPECT_EQ(counters.steal_attempts, 1u);
   EXPECT_EQ(counters.steal_successes, 1u);
   EXPECT_EQ(counters.entries_stolen, 1u);
@@ -283,7 +289,7 @@ TEST(StealingPolicyTest, NeverStealsFromShortPartition) {
   StealingPolicy policy(/*cap=*/5, /*seed=*/2);
   RunCounters counters;
   for (int i = 0; i < 50; ++i) {
-    EXPECT_TRUE(policy.TrySteal(cluster, /*thief=*/0, &counters).empty());
+    EXPECT_EQ(policy.TryStealInto(cluster, /*thief=*/0, &counters), 0u);
   }
 }
 
@@ -294,9 +300,10 @@ TEST(StealingPolicyTest, ThiefNeverContactsItself) {
   cluster.workers().Enqueue(0, QueueEntry::Probe(2, /*is_long=*/false));
   StealingPolicy policy(/*cap=*/10, /*seed=*/3);
   RunCounters counters;
-  EXPECT_TRUE(policy.TrySteal(cluster, /*thief=*/0, &counters).empty());
+  EXPECT_EQ(policy.TryStealInto(cluster, /*thief=*/0, &counters), 0u);
   // A short-partition thief can steal from worker 0.
-  EXPECT_EQ(policy.TrySteal(cluster, /*thief=*/2, &counters).size(), 1u);
+  EXPECT_EQ(policy.TryStealInto(cluster, /*thief=*/2, &counters), 1u);
+  EXPECT_EQ(cluster.workers().QueueAt(2, 0).job, 2u);
 }
 
 TEST(StealingPolicyTest, CapZeroDisables) {
@@ -305,7 +312,7 @@ TEST(StealingPolicyTest, CapZeroDisables) {
   cluster.workers().Enqueue(0, QueueEntry::Probe(2, /*is_long=*/false));
   StealingPolicy policy(/*cap=*/0, /*seed=*/4);
   RunCounters counters;
-  EXPECT_TRUE(policy.TrySteal(cluster, 3, &counters).empty());
+  EXPECT_EQ(policy.TryStealInto(cluster, 3, &counters), 0u);
   EXPECT_EQ(counters.steal_attempts, 0u);
 }
 
@@ -313,7 +320,7 @@ TEST(StealingPolicyTest, CapOneContactsOneVictim) {
   Cluster cluster(100, 100);
   StealingPolicy policy(/*cap=*/1, /*seed=*/5);
   RunCounters counters;
-  policy.TrySteal(cluster, 0, &counters);
+  policy.TryStealInto(cluster, 0, &counters);
   EXPECT_EQ(counters.steal_victim_probes, 1u);
 }
 
@@ -325,8 +332,8 @@ TEST(StealingPolicyTest, FindsVictimThroughCap) {
   cluster.workers().Enqueue(17, QueueEntry::Probe(2, /*is_long=*/false));
   StealingPolicy policy(/*cap=*/50, /*seed=*/6);
   RunCounters counters;
-  const auto stolen = policy.TrySteal(cluster, /*thief=*/0, &counters);
-  EXPECT_EQ(stolen.size(), 1u);
+  EXPECT_EQ(policy.TryStealInto(cluster, /*thief=*/0, &counters), 1u);
+  EXPECT_EQ(cluster.workers().QueueAt(0, 0).job, 2u);
 }
 
 TEST(StealingPolicyTest, DChoiceContactsMostLoadedVictimFirst) {

@@ -13,8 +13,8 @@
 #include "src/core/hawk_config.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/experiment.h"
+#include "src/scheduler/registry.h"
 #include "src/scheduler/sharded_driver.h"
-#include "src/scheduler/sparrow.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 #include "src/workload/trace.h"
@@ -445,20 +445,19 @@ TEST(MetamorphicTest, WorkerRelabelingIsInvisible) {
     SimulationDriver driver(&trace, c, c.num_workers, policy.get());
     return driver.Run();
   };
-  auto relabeled_policy = [&reversal, &config] {
-    return std::make_unique<RelabelPolicy>(
-        std::make_unique<SparrowPolicy>(config.probe_ratio), reversal);
+  const SchedulerRegistry::Factory& sparrow = SchedulerRegistry::Global().Find("sparrow")->factory;
+  auto relabeled_policy = [&reversal, &config, &sparrow] {
+    return std::make_unique<RelabelPolicy>(sparrow(config), reversal);
   };
 
   // Serial: bit-exact.
-  const RunResult serial_base =
-      run(config, std::make_unique<SparrowPolicy>(config.probe_ratio));
+  const RunResult serial_base = run(config, sparrow(config));
   ExpectSameOutcome(serial_base, run(config, relabeled_policy()));
 
   // Sharded: exact conservation, statistical runtime invariance.
   HawkConfig sharded = config;
   sharded.sim_shards = 4;
-  const RunResult base = run(sharded, std::make_unique<SparrowPolicy>(config.probe_ratio));
+  const RunResult base = run(sharded, sparrow(config));
   const RunResult relabel = run(sharded, relabeled_policy());
   ASSERT_EQ(base.jobs.size(), relabel.jobs.size());
   EXPECT_EQ(base.total_busy_us, relabel.total_busy_us);  // Same work, done once.

@@ -9,18 +9,17 @@
 #include <vector>
 
 #include "src/core/hawk_config.h"
-#include "src/core/hawk_scheduler.h"
-#include "src/scheduler/centralized.h"
 #include "src/scheduler/driver.h"
 #include "src/scheduler/experiment.h"
 #include "src/scheduler/registry.h"
-#include "src/scheduler/sparrow.h"
-#include "src/scheduler/split.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
+#include "tests/test_util.h"
 
 namespace hawk {
 namespace {
+
+using testing::ExpectBitIdentical;
 
 Trace MakeTrace(uint32_t jobs, uint64_t seed) {
   Trace trace = GenerateClusterWorkload(FacebookParams(jobs, seed));
@@ -35,24 +34,6 @@ HawkConfig SmallConfig(uint32_t workers = 100, uint64_t seed = 7) {
   config.classify_mode = ClassifyMode::kHint;
   config.seed = seed;
   return config;
-}
-
-void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (size_t i = 0; i < a.jobs.size(); ++i) {
-    ASSERT_EQ(a.jobs[i].id, b.jobs[i].id);
-    ASSERT_EQ(a.jobs[i].finish_time, b.jobs[i].finish_time) << "job " << i;
-    ASSERT_EQ(a.jobs[i].runtime_us, b.jobs[i].runtime_us) << "job " << i;
-  }
-  EXPECT_EQ(a.makespan_us, b.makespan_us);
-  EXPECT_EQ(a.total_busy_us, b.total_busy_us);
-  EXPECT_EQ(a.utilization_samples, b.utilization_samples);
-  EXPECT_EQ(a.counters.events, b.counters.events);
-  EXPECT_EQ(a.counters.tasks_launched, b.counters.tasks_launched);
-  EXPECT_EQ(a.counters.probes_placed, b.counters.probes_placed);
-  EXPECT_EQ(a.counters.central_tasks_placed, b.counters.central_tasks_placed);
-  EXPECT_EQ(a.counters.steal_attempts, b.counters.steal_attempts);
-  EXPECT_EQ(a.counters.entries_stolen, b.counters.entries_stolen);
 }
 
 // --- Registry ---------------------------------------------------------------
@@ -79,13 +60,11 @@ TEST(SchedulerRegistryTest, EveryRegisteredNameRunsDeterministically) {
 
 TEST(SchedulerRegistryTest, DuplicateRegistrationIsRejected) {
   const Status status = SchedulerRegistry::Global().Register(
-      "hawk", [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
-        return std::make_unique<SparrowPolicy>(config.probe_ratio);
-      });
+      "hawk", SchedulerRegistry::Global().Find("sparrow")->factory);
   ASSERT_FALSE(status.ok());
   EXPECT_NE(status.message().find("already registered"), std::string::npos);
   // The original registration must still be in effect: "hawk" still places
-  // long tasks centrally (a SparrowPolicy would place none).
+  // long tasks centrally (sparrow's policy would place none).
   const Trace trace = MakeTrace(60, 5);
   const RunResult run = RunExperiment(trace, SmallConfig(), "hawk");
   EXPECT_GT(run.counters.central_tasks_placed, 0u);
@@ -106,8 +85,10 @@ TEST(SchedulerRegistryTest, ExternalRegistrationIsFirstClass) {
   // examples/custom_policy.cpp does with "hawk-lb") and run + sweep it
   // through the same entry points as the built-ins.
   const Status status = SchedulerRegistry::Global().Register(
-      "test-wide-probe", [](const HawkConfig&) -> std::unique_ptr<SchedulerPolicy> {
-        return std::make_unique<SparrowPolicy>(4);
+      "test-wide-probe", [](const HawkConfig& config) -> std::unique_ptr<SchedulerPolicy> {
+        HawkConfig wide = config;
+        wide.probe_ratio = 4;
+        return SchedulerRegistry::Global().Find("sparrow")->factory(wide);
       });
   ASSERT_TRUE(status.ok()) << status.message();
   const Trace trace = MakeTrace(60, 9);
@@ -148,37 +129,28 @@ TEST(ExperimentTest, ConvenienceOverloadMatchesSpecForm) {
 // --- Equivalence with the pre-registry path ---------------------------------
 
 // RunExperiment must be bit-identical to what the old closed-world
-// RunScheduler(kind) switch did: construct the policy directly, size the
-// general partition the same way, drive the same simulation.
+// RunScheduler(kind) switch did: construct the policy directly (here through
+// the registry's factory), size the general partition the same way, drive
+// the same simulation.
 TEST(ExperimentTest, BitIdenticalToHandBuiltDriverPath) {
   const Trace trace = MakeTrace(120, 17);
   const HawkConfig config = SmallConfig(110, 23);
 
-  const auto run_direct = [&](SchedulerPolicy* policy, uint32_t general_count) {
-    SimulationDriver driver(&trace, config, general_count, policy);
+  const auto run_direct = [&](std::string_view name, uint32_t general_count) {
+    const std::unique_ptr<SchedulerPolicy> policy =
+        SchedulerRegistry::Global().Find(name)->factory(config);
+    SimulationDriver driver(&trace, config, general_count, policy.get());
     return driver.Run();
   };
 
-  {
-    SparrowPolicy sparrow(config.probe_ratio);
-    ExpectBitIdentical(RunExperiment(trace, config, "sparrow"),
-                       run_direct(&sparrow, config.num_workers));
-  }
-  {
-    CentralizedPolicy centralized;
-    ExpectBitIdentical(RunExperiment(trace, config, "centralized"),
-                       run_direct(&centralized, config.num_workers));
-  }
-  {
-    HawkPolicy hawk_policy(config);
-    ExpectBitIdentical(RunExperiment(trace, config, "hawk"),
-                       run_direct(&hawk_policy, config.GeneralCount()));
-  }
-  {
-    SplitClusterPolicy split(config.probe_ratio);
-    ExpectBitIdentical(RunExperiment(trace, config, "split"),
-                       run_direct(&split, config.GeneralCount()));
-  }
+  ExpectBitIdentical(RunExperiment(trace, config, "sparrow"),
+                     run_direct("sparrow", config.num_workers));
+  ExpectBitIdentical(RunExperiment(trace, config, "centralized"),
+                     run_direct("centralized", config.num_workers));
+  ExpectBitIdentical(RunExperiment(trace, config, "hawk"),
+                     run_direct("hawk", config.GeneralCount()));
+  ExpectBitIdentical(RunExperiment(trace, config, "split"),
+                     run_direct("split", config.GeneralCount()));
 }
 
 // --- SweepSpec expansion -----------------------------------------------------

@@ -23,9 +23,12 @@
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 #include "src/workload/trace.h"
+#include "tests/test_util.h"
 
 namespace hawk {
 namespace {
+
+using testing::ExpectBitIdentical;
 
 // All four built-in policies plus the d-choices variant — the fault layer is
 // policy-agnostic and every registered scheduler must survive it.
@@ -102,28 +105,6 @@ HawkConfig FaultyConfig() {
   return config;
 }
 
-void ExpectIdentical(const RunResult& r1, const RunResult& r2) {
-  ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
-  for (size_t i = 0; i < r1.jobs.size(); ++i) {
-    ASSERT_EQ(r1.jobs[i].id, r2.jobs[i].id);
-    ASSERT_EQ(r1.jobs[i].finish_time, r2.jobs[i].finish_time) << "job " << i;
-    ASSERT_EQ(r1.jobs[i].runtime_us, r2.jobs[i].runtime_us) << "job " << i;
-  }
-  EXPECT_EQ(r1.makespan_us, r2.makespan_us);
-  EXPECT_EQ(r1.total_busy_us, r2.total_busy_us);
-  EXPECT_EQ(r1.counters.events, r2.counters.events);
-  EXPECT_EQ(r1.counters.tasks_launched, r2.counters.tasks_launched);
-  EXPECT_EQ(r1.counters.worker_crashes, r2.counters.worker_crashes);
-  EXPECT_EQ(r1.counters.worker_departures, r2.counters.worker_departures);
-  EXPECT_EQ(r1.counters.worker_rejoins, r2.counters.worker_rejoins);
-  EXPECT_EQ(r1.counters.messages_dropped, r2.counters.messages_dropped);
-  EXPECT_EQ(r1.counters.message_retries, r2.counters.message_retries);
-  EXPECT_EQ(r1.counters.tasks_re_dispatched, r2.counters.tasks_re_dispatched);
-  EXPECT_EQ(r1.counters.probes_lost, r2.counters.probes_lost);
-  EXPECT_EQ(r1.counters.wasted_work_us, r2.counters.wasted_work_us);
-  EXPECT_EQ(r1.utilization_samples, r2.utilization_samples);
-}
-
 TEST(FaultConfigTest, ValidationRejectsBadKnobs) {
   HawkConfig config;
   config.worker_crash_rate = -1.0;
@@ -152,8 +133,8 @@ TEST(FaultDeterminismTest, ZeroRatesAreInert) {
   HawkConfig seeded = base;
   seeded.fault_seed = 999;  // Only consulted when an axis is nonzero.
   for (const char* scheduler : kAllSchedulers) {
-    ExpectIdentical(RunExperiment(trace, base, scheduler),
-                    RunExperiment(trace, seeded, scheduler));
+    ExpectBitIdentical(RunExperiment(trace, base, scheduler),
+                       RunExperiment(trace, seeded, scheduler));
   }
 }
 
@@ -165,8 +146,8 @@ TEST(FaultDeterminismTest, FaultyRunsAreReproducible) {
   const HawkConfig config = FaultyConfig();
   for (const char* scheduler : kAllSchedulers) {
     SCOPED_TRACE(scheduler);
-    ExpectIdentical(RunExperiment(trace_a, config, scheduler),
-                    RunExperiment(trace_b, config, scheduler));
+    ExpectBitIdentical(RunExperiment(trace_a, config, scheduler),
+                       RunExperiment(trace_b, config, scheduler));
   }
 }
 
@@ -183,7 +164,7 @@ TEST(FaultDeterminismTest, SweepThreadCountInvariant) {
   ASSERT_EQ(serial.size(), parallel.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(serial[i].spec.Label());
-    ExpectIdentical(serial[i].result, parallel[i].result);
+    ExpectBitIdentical(serial[i].result, parallel[i].result);
   }
 }
 

@@ -36,6 +36,12 @@ const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice"
                                 "hawk-spec", "hawk-latebind", "split"};
 constexpr uint64_t kSeeds[] = {1, 2};
 constexpr uint32_t kShardCounts[] = {1, 4};
+// The §4.4 component toggles, each switched off on "hawk", serial only
+// (keyed "hawk/<toggle>=0"). They pin every ablation path of the one policy
+// the baselines share, including the stealer's seed draw, which a
+// Hawk-family policy makes even when its stealing is toggled off.
+const char* kHawkToggles[] = {"use_centralized_long", "use_partition", "use_stealing",
+                              "steal_cap"};
 
 // The pinned workload lights every layer: partitioned + stealing schedulers,
 // speculation (via hawk-spec), crashes, churn, message loss, jitter and
@@ -105,6 +111,14 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
         actual[CellKey(scheduler, seed, shards)] =
             testing::DigestResult(RunExperiment(trace, config, scheduler));
       }
+    }
+  }
+  for (const char* toggle : kHawkToggles) {
+    for (const uint64_t seed : kSeeds) {
+      HawkConfig config = GoldenConfig(seed);
+      ASSERT_TRUE(SetConfigField(&config, toggle, 0.0).ok()) << toggle;
+      actual[CellKey(std::string("hawk/") + toggle + "=0", seed, /*shards=*/1)] =
+          testing::DigestResult(RunExperiment(trace, config, "hawk"));
     }
   }
 

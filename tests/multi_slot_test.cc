@@ -96,9 +96,8 @@ TEST(MultiSlotStealTest, PartiallyFullVictimIsScreenedByOccupiedLong) {
 
   StealingPolicy policy(/*cap=*/8, /*seed=*/1);
   RunCounters counters;
-  const auto stolen = policy.TrySteal(cluster, /*thief=*/3, &counters);
-  ASSERT_EQ(stolen.size(), 2u);
-  EXPECT_EQ(stolen[0].job, 2u);
+  ASSERT_EQ(policy.TryStealInto(cluster, /*thief=*/3, &counters), 2u);
+  EXPECT_EQ(cluster.workers().QueueAt(3, 0).job, 2u);
   EXPECT_EQ(counters.steal_successes, 1u);
 }
 
@@ -112,7 +111,7 @@ TEST(MultiSlotStealTest, VictimWithOnlyShortOccupancyIsRejected) {
   cluster.workers().Enqueue(0, QueueEntry::Probe(2, /*is_long=*/false));
   StealingPolicy policy(/*cap=*/4, /*seed=*/2);
   RunCounters counters;
-  EXPECT_TRUE(policy.TrySteal(cluster, /*thief=*/1, &counters).empty());
+  EXPECT_EQ(policy.TryStealInto(cluster, /*thief=*/1, &counters), 0u);
   EXPECT_EQ(counters.steal_successes, 0u);
 }
 

@@ -24,9 +24,12 @@
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 #include "src/workload/trace.h"
+#include "tests/test_util.h"
 
 namespace hawk {
 namespace {
+
+using testing::ExpectBitIdentical;
 
 // Chaos-soak hook: CI reruns the fault-labeled suites with HAWK_FAULT_SEED
 // set to walk several distinct crash/loss/straggler schedules through the
@@ -197,24 +200,6 @@ Trace MakeTrace(uint32_t jobs = 120, uint64_t seed = 9, double interarrival_s = 
   return trace;
 }
 
-void ExpectIdentical(const RunResult& r1, const RunResult& r2) {
-  ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
-  for (size_t i = 0; i < r1.jobs.size(); ++i) {
-    ASSERT_EQ(r1.jobs[i].id, r2.jobs[i].id);
-    ASSERT_EQ(r1.jobs[i].finish_time, r2.jobs[i].finish_time) << "job " << i;
-  }
-  EXPECT_EQ(r1.makespan_us, r2.makespan_us);
-  EXPECT_EQ(r1.total_busy_us, r2.total_busy_us);
-  EXPECT_EQ(r1.counters.events, r2.counters.events);
-  EXPECT_EQ(r1.counters.tasks_launched, r2.counters.tasks_launched);
-  EXPECT_EQ(r1.counters.wasted_work_us, r2.counters.wasted_work_us);
-  EXPECT_EQ(r1.counters.tasks_speculated, r2.counters.tasks_speculated);
-  EXPECT_EQ(r1.counters.speculative_wins, r2.counters.speculative_wins);
-  EXPECT_EQ(r1.counters.speculative_wasted_us, r2.counters.speculative_wasted_us);
-  EXPECT_EQ(r1.counters.retries_suppressed, r2.counters.retries_suppressed);
-  EXPECT_EQ(r1.counters.tasks_abandoned, r2.counters.tasks_abandoned);
-}
-
 // Straggler-only injection (no crashes, no loss): bit-identical reruns for
 // every registered scheduler, and thread-count-invariant sweeps.
 TEST(RecoveryDeterminismTest, StragglerOnlyRunsAreReproducible) {
@@ -228,8 +213,8 @@ TEST(RecoveryDeterminismTest, StragglerOnlyRunsAreReproducible) {
   config.fault_seed = EnvFaultSeed(5);
   for (const std::string& scheduler : SchedulerRegistry::Global().Names()) {
     SCOPED_TRACE(scheduler);
-    ExpectIdentical(RunExperiment(trace, config, scheduler),
-                    RunExperiment(trace, config, scheduler));
+    ExpectBitIdentical(RunExperiment(trace, config, scheduler),
+                       RunExperiment(trace, config, scheduler));
   }
 }
 
@@ -248,7 +233,7 @@ TEST(RecoveryDeterminismTest, StragglerSweepThreadCountInvariant) {
   ASSERT_EQ(serial.size(), threaded.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(serial[i].spec.Label());
-    ExpectIdentical(serial[i].result, threaded[i].result);
+    ExpectBitIdentical(serial[i].result, threaded[i].result);
   }
 }
 
@@ -265,7 +250,7 @@ TEST(RecoveryDeterminismTest, SpeculationRunsAreReproducibleAcrossThreads) {
   config.straggler_slowdown_factor = 8.0;
   config.fault_seed = EnvFaultSeed(2);
   const RunResult once = RunExperiment(trace, config, "hawk-spec");
-  ExpectIdentical(once, RunExperiment(trace, config, "hawk-spec"));
+  ExpectBitIdentical(once, RunExperiment(trace, config, "hawk-spec"));
   EXPECT_GT(once.counters.tasks_speculated, 0u);
   SweepSpec sweep(ExperimentSpec("hawk-spec").WithTrace(&trace).WithConfig(config));
   sweep.Vary("straggler_rate", {0.1, 0.25});
@@ -274,7 +259,7 @@ TEST(RecoveryDeterminismTest, SpeculationRunsAreReproducibleAcrossThreads) {
   ASSERT_EQ(serial.size(), threaded.size());
   for (size_t i = 0; i < serial.size(); ++i) {
     SCOPED_TRACE(serial[i].spec.Label());
-    ExpectIdentical(serial[i].result, threaded[i].result);
+    ExpectBitIdentical(serial[i].result, threaded[i].result);
   }
 }
 

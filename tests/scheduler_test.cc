@@ -4,11 +4,13 @@
 // parameterized over scheduler kind, workload, and seed.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 
 #include "src/core/hawk_config.h"
 #include "src/metrics/comparison.h"
 #include "src/scheduler/experiment.h"
+#include "src/scheduler/registry.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 #include "src/workload/google_trace.h"
@@ -118,6 +120,91 @@ TEST_P(HawkAblationTest, InvariantsHoldWithTogglesOff) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Toggles, HawkAblationTest, testing::Values(0, 1, 2));
+
+// --- Runtime shapes -----------------------------------------------------------------
+
+// Every registered scheduler's shape under the default config, which both
+// executors read: the prototype assembles its control plane from it and the
+// simulation driver gates steal retries on it.
+TEST(SchedulerShapeTest, DefaultShapeOfEveryRegisteredScheduler) {
+  using Span = RuntimeShape::ProbeSpan;
+  using Victims = StealingPolicy::VictimSelection;
+  struct Row {
+    bool centralized_long;
+    bool centralized_short;
+    bool stealing;
+    Victims victims;
+    Span short_span;
+    Span long_span;
+  };
+  const std::map<std::string, Row> expected = {
+      {"centralized", {true, true, false, Victims::kRandom, Span::kWholeCluster,
+                       Span::kGeneralPartition}},
+      {"hawk", {true, false, true, Victims::kRandom, Span::kWholeCluster,
+                Span::kGeneralPartition}},
+      {"hawk-dchoice", {true, false, true, Victims::kDChoice, Span::kWholeCluster,
+                        Span::kGeneralPartition}},
+      {"hawk-latebind", {true, false, true, Victims::kRandom, Span::kWholeCluster,
+                         Span::kGeneralPartition}},
+      {"hawk-spec", {true, false, true, Victims::kRandom, Span::kWholeCluster,
+                     Span::kGeneralPartition}},
+      {"sparrow", {false, false, false, Victims::kRandom, Span::kWholeCluster,
+                   Span::kWholeCluster}},
+      {"split", {true, false, false, Victims::kRandom, Span::kShortPartition,
+                 Span::kGeneralPartition}},
+  };
+  const std::vector<std::string> names = SchedulerRegistry::Global().Names();
+  ASSERT_EQ(names.size(), expected.size());
+  for (const std::string& name : names) {
+    SCOPED_TRACE(name);
+    const auto row = expected.find(name);
+    ASSERT_NE(row, expected.end()) << "no pinned shape";
+    const RuntimeShape shape =
+        SchedulerRegistry::Global().Find(name)->factory(HawkConfig{})->ShapeForRuntime(
+            HawkConfig{});
+    EXPECT_EQ(shape.centralized_long, row->second.centralized_long);
+    EXPECT_EQ(shape.centralized_short, row->second.centralized_short);
+    EXPECT_EQ(shape.stealing, row->second.stealing);
+    EXPECT_EQ(shape.victim_selection, row->second.victims);
+    EXPECT_EQ(shape.short_probe_span, row->second.short_span);
+    EXPECT_EQ(shape.long_probe_span, row->second.long_span);
+  }
+}
+
+// A simulated run does what its shape says: a class goes through the
+// central queue iff the shape centralizes it, and a shape without stealing
+// never attempts a steal. Default config (1,500 workers, noise-free
+// estimates, so the metrics class of each job is its scheduling class).
+TEST(SchedulerShapeTest, SimulatedRunsAgreeWithTheirShapes) {
+  const HawkConfig config;
+  const Trace trace = TestTrace(200, config.num_workers, 0.9, 31);
+  for (const std::string& name : SchedulerRegistry::Global().Names()) {
+    SCOPED_TRACE(name);
+    const RuntimeShape shape =
+        SchedulerRegistry::Global().Find(name)->factory(config)->ShapeForRuntime(config);
+    const RunResult result = RunExperiment(trace, config, name);
+    ASSERT_EQ(result.jobs.size(), trace.NumJobs());
+    uint64_t long_tasks = 0;
+    uint64_t short_tasks = 0;
+    for (size_t i = 0; i < trace.NumJobs(); ++i) {
+      (result.jobs[i].is_long ? long_tasks : short_tasks) += trace.job(i).NumTasks();
+    }
+    ASSERT_TRUE(long_tasks > 0 && short_tasks > 0) << "the trace must hold both classes";
+    // hawk-latebind's long lane aims one probe per task at the minimum-wait
+    // worker and binds at service time, so its central placements are the
+    // probes beyond the short jobs' probe_ratio x tasks, not central tasks.
+    const uint64_t central_placements =
+        name == "hawk-latebind"
+            ? result.counters.probes_placed - config.probe_ratio * short_tasks
+            : result.counters.central_tasks_placed;
+    const bool centralizes_present_class = (shape.centralized_long && long_tasks > 0) ||
+                                           (shape.centralized_short && short_tasks > 0);
+    EXPECT_EQ(central_placements > 0, centralizes_present_class);
+    if (!shape.stealing) {
+      EXPECT_EQ(result.counters.steal_attempts, 0u);
+    }
+  }
+}
 
 // --- Per-scheduler behavior -------------------------------------------------------
 

@@ -17,9 +17,12 @@
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
 #include "src/workload/trace.h"
+#include "tests/test_util.h"
 
 namespace hawk {
 namespace {
+
+using testing::ExpectBitIdentical;
 
 const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice",
                                 "hawk-spec", "hawk-latebind", "split"};
@@ -60,52 +63,6 @@ RunResult RunSharded(const Trace& trace, HawkConfig config, const char* schedule
   return RunExperiment(trace, config, scheduler);
 }
 
-// Full bit-identity: every per-job time, every counter, every sample.
-void ExpectIdentical(const RunResult& r1, const RunResult& r2) {
-  ASSERT_EQ(r1.jobs.size(), r2.jobs.size());
-  for (size_t i = 0; i < r1.jobs.size(); ++i) {
-    ASSERT_EQ(r1.jobs[i].id, r2.jobs[i].id);
-    ASSERT_EQ(r1.jobs[i].is_long, r2.jobs[i].is_long) << "job " << i;
-    ASSERT_EQ(r1.jobs[i].submit_time, r2.jobs[i].submit_time) << "job " << i;
-    ASSERT_EQ(r1.jobs[i].finish_time, r2.jobs[i].finish_time) << "job " << i;
-  }
-  EXPECT_EQ(r1.makespan_us, r2.makespan_us);
-  EXPECT_EQ(r1.total_busy_us, r2.total_busy_us);
-  EXPECT_EQ(r1.utilization_samples, r2.utilization_samples);
-  const RunCounters& c1 = r1.counters;
-  const RunCounters& c2 = r2.counters;
-  EXPECT_EQ(c1.jobs, c2.jobs);
-  EXPECT_EQ(c1.tasks_launched, c2.tasks_launched);
-  EXPECT_EQ(c1.probes_placed, c2.probes_placed);
-  EXPECT_EQ(c1.probe_requests, c2.probe_requests);
-  EXPECT_EQ(c1.cancels, c2.cancels);
-  EXPECT_EQ(c1.central_tasks_placed, c2.central_tasks_placed);
-  EXPECT_EQ(c1.steal_attempts, c2.steal_attempts);
-  EXPECT_EQ(c1.steal_victim_probes, c2.steal_victim_probes);
-  EXPECT_EQ(c1.steal_successes, c2.steal_successes);
-  EXPECT_EQ(c1.entries_stolen, c2.entries_stolen);
-  EXPECT_EQ(c1.events, c2.events);
-  EXPECT_EQ(c1.short_tasks_started, c2.short_tasks_started);
-  EXPECT_EQ(c1.long_tasks_started, c2.long_tasks_started);
-  EXPECT_EQ(c1.short_queue_wait_us, c2.short_queue_wait_us);
-  EXPECT_EQ(c1.long_queue_wait_us, c2.long_queue_wait_us);
-  EXPECT_EQ(c1.worker_crashes, c2.worker_crashes);
-  EXPECT_EQ(c1.worker_departures, c2.worker_departures);
-  EXPECT_EQ(c1.worker_rejoins, c2.worker_rejoins);
-  EXPECT_EQ(c1.messages_dropped, c2.messages_dropped);
-  EXPECT_EQ(c1.message_retries, c2.message_retries);
-  EXPECT_EQ(c1.tasks_re_dispatched, c2.tasks_re_dispatched);
-  EXPECT_EQ(c1.probes_lost, c2.probes_lost);
-  EXPECT_EQ(c1.duplicate_completions, c2.duplicate_completions);
-  EXPECT_EQ(c1.wasted_work_us, c2.wasted_work_us);
-  EXPECT_EQ(c1.tasks_speculated, c2.tasks_speculated);
-  EXPECT_EQ(c1.speculative_wins, c2.speculative_wins);
-  EXPECT_EQ(c1.speculative_wasted_us, c2.speculative_wasted_us);
-  EXPECT_EQ(c1.retries_suppressed, c2.retries_suppressed);
-  EXPECT_EQ(c1.tasks_abandoned, c2.tasks_abandoned);
-  EXPECT_EQ(c1.node_suspicions, c2.node_suspicions);
-}
-
 TEST(ShardConfigTest, ValidationRejectsBadShardCounts) {
   HawkConfig config = BaseConfig();
   config.sim_shards = 0;
@@ -131,8 +88,8 @@ TEST(ShardDeterminismTest, ThreadCountIsNonSemantic) {
     for (const uint32_t shards : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(scheduler) + " shards=" + std::to_string(shards));
       const RunResult inline_run = RunSharded(trace, config, scheduler, shards, 1);
-      ExpectIdentical(inline_run, RunSharded(trace, config, scheduler, shards, 2));
-      ExpectIdentical(inline_run, RunSharded(trace, config, scheduler, shards, 0));
+      ExpectBitIdentical(inline_run, RunSharded(trace, config, scheduler, shards, 2));
+      ExpectBitIdentical(inline_run, RunSharded(trace, config, scheduler, shards, 0));
     }
   }
 }
@@ -145,8 +102,8 @@ TEST(ShardDeterminismTest, ShardCountIsNonSemantic) {
   for (const char* scheduler : kAllSchedulers) {
     SCOPED_TRACE(scheduler);
     const RunResult two = RunSharded(trace, config, scheduler, 2, 0);
-    ExpectIdentical(two, RunSharded(trace, config, scheduler, 4, 0));
-    ExpectIdentical(two, RunSharded(trace, config, scheduler, 8, 0));
+    ExpectBitIdentical(two, RunSharded(trace, config, scheduler, 4, 0));
+    ExpectBitIdentical(two, RunSharded(trace, config, scheduler, 8, 0));
   }
 }
 
@@ -162,10 +119,10 @@ TEST(ShardDeterminismTest, ChaosRunsIdenticalAcrossThreadsAndShards) {
     EXPECT_GT(base.counters.worker_crashes, 0u);
     EXPECT_GT(base.counters.messages_dropped, 0u);
     EXPECT_GT(base.counters.wasted_work_us, 0u);
-    ExpectIdentical(base, RunSharded(trace, config, scheduler, 2, 0));
+    ExpectBitIdentical(base, RunSharded(trace, config, scheduler, 2, 0));
     const RunResult four = RunSharded(trace, config, scheduler, 4, 0);
-    ExpectIdentical(four, RunSharded(trace, config, scheduler, 4, 1));
-    ExpectIdentical(base, four);
+    ExpectBitIdentical(four, RunSharded(trace, config, scheduler, 4, 1));
+    ExpectBitIdentical(base, four);
   }
 }
 
@@ -179,8 +136,8 @@ TEST(ShardDeterminismTest, OversubscribedPoolIsNonSemantic) {
   const Trace trace = MakeTrace();
   const HawkConfig config = ChaosConfig();
   const RunResult inline_run = RunSharded(trace, config, "hawk", 4, 1);
-  ExpectIdentical(inline_run, RunSharded(trace, config, "hawk", 4, 8));
-  ExpectIdentical(inline_run, RunSharded(trace, config, "hawk", 4, 16));
+  ExpectBitIdentical(inline_run, RunSharded(trace, config, "hawk", 4, 8));
+  ExpectBitIdentical(inline_run, RunSharded(trace, config, "hawk", 4, 16));
 }
 
 // Work conservation must survive sharding: every task completes exactly once
@@ -222,7 +179,7 @@ TEST(ShardBoundaryTest, CrossShardStealsFlowWithOneWorkerPerShard) {
   const RunResult serial_phase = RunSharded(trace, config, "hawk", 8, 1);
   EXPECT_GT(serial_phase.counters.steal_attempts, 0u);
   EXPECT_GT(serial_phase.counters.steal_successes, 0u);
-  ExpectIdentical(serial_phase, RunSharded(trace, config, "hawk", 8, 0));
+  ExpectBitIdentical(serial_phase, RunSharded(trace, config, "hawk", 8, 0));
 }
 
 }  // namespace

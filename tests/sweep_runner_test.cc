@@ -10,40 +10,18 @@
 #include "src/scheduler/sweep_runner.h"
 #include "src/workload/arrivals.h"
 #include "src/workload/cluster_workloads.h"
+#include "tests/test_util.h"
 
 namespace hawk {
 namespace {
+
+using testing::ExpectBitIdentical;
 
 Trace MakeTrace(uint32_t jobs, uint64_t seed) {
   Trace trace = GenerateClusterWorkload(FacebookParams(jobs, seed));
   Rng arrivals_rng(seed ^ 0x1234);
   AssignPoissonArrivals(&trace, SecondsToUs(2.0), &arrivals_rng);
   return trace;
-}
-
-void ExpectBitIdentical(const RunResult& a, const RunResult& b) {
-  ASSERT_EQ(a.jobs.size(), b.jobs.size());
-  for (size_t i = 0; i < a.jobs.size(); ++i) {
-    ASSERT_EQ(a.jobs[i].id, b.jobs[i].id);
-    ASSERT_EQ(a.jobs[i].is_long, b.jobs[i].is_long);
-    ASSERT_EQ(a.jobs[i].submit_time, b.jobs[i].submit_time);
-    ASSERT_EQ(a.jobs[i].finish_time, b.jobs[i].finish_time) << "job " << i;
-    ASSERT_EQ(a.jobs[i].runtime_us, b.jobs[i].runtime_us) << "job " << i;
-  }
-  EXPECT_EQ(a.makespan_us, b.makespan_us);
-  EXPECT_EQ(a.total_busy_us, b.total_busy_us);
-  EXPECT_EQ(a.utilization_samples, b.utilization_samples);
-  EXPECT_EQ(a.counters.events, b.counters.events);
-  EXPECT_EQ(a.counters.jobs, b.counters.jobs);
-  EXPECT_EQ(a.counters.tasks_launched, b.counters.tasks_launched);
-  EXPECT_EQ(a.counters.probes_placed, b.counters.probes_placed);
-  EXPECT_EQ(a.counters.probe_requests, b.counters.probe_requests);
-  EXPECT_EQ(a.counters.cancels, b.counters.cancels);
-  EXPECT_EQ(a.counters.central_tasks_placed, b.counters.central_tasks_placed);
-  EXPECT_EQ(a.counters.steal_attempts, b.counters.steal_attempts);
-  EXPECT_EQ(a.counters.steal_victim_probes, b.counters.steal_victim_probes);
-  EXPECT_EQ(a.counters.steal_successes, b.counters.steal_successes);
-  EXPECT_EQ(a.counters.entries_stolen, b.counters.entries_stolen);
 }
 
 std::vector<ExperimentSpec> BuildGrid(const Trace* trace_a, const Trace* trace_b) {
