@@ -1,11 +1,16 @@
 // google-benchmark microbenchmarks for the hot data structures: the event
-// queue, the centralized waiting-time queue, the steal-group scan, and trace
-// generation throughput. These bound the simulator's events/second and the
-// per-decision cost a production scheduler would pay.
+// queue, the centralized waiting-time queue, the steal-group scan, steal
+// victim sampling plus screening over a large cluster, and trace generation
+// throughput. These bound the simulator's events/second and the per-decision
+// cost a production scheduler would pay.
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
+#include "src/cluster/cluster.h"
 #include "src/cluster/worker_store.h"
 #include "src/common/random.h"
+#include "src/core/stealing_policy.h"
 #include "src/core/waiting_time_queue.h"
 #include "src/sim/event_queue.h"
 #include "src/workload/google_trace.h"
@@ -65,6 +70,55 @@ void BM_StealScan(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * queue_depth);
 }
 BENCHMARK(BM_StealScan)->Arg(16)->Arg(256);
+
+// One steal attempt's victim side on an N-worker cluster with the paper's
+// 17% short partition: sample up to 10 general-partition victims
+// (StealingPolicy::ChooseVictimsInto, which also prefetches their records)
+// and screen them in contact order until one holds a stealable group. The
+// cluster is loaded like a busy Hawk run: 93% of general workers execute a
+// task (a tenth of them long) and 3% queue 1-4 entries (a fifth of them
+// long), so about one attempt in twelve finds a group (scale-1m: one in 14).
+// At 1M workers every screened victim is a cache miss, as on the scale-1m
+// benchmark workload; at 1,500 workers the cluster is cache-resident.
+// Read-only, so every iteration sees the same state.
+void BM_StealVictimScreen(benchmark::State& state) {
+  const auto num_workers = static_cast<uint32_t>(state.range(0));
+  const auto general = static_cast<uint32_t>(num_workers * 0.83);
+  hawk::Cluster cluster(num_workers, general);
+  hawk::WorkerStore& workers = cluster.workers();
+  hawk::Rng rng(3);
+  for (hawk::WorkerId w = 0; w < general; ++w) {
+    if (rng.Bernoulli(0.93)) {
+      workers.BeginExecute(w, 0, hawk::QueueEntry::Task(w, 0, 1000, rng.Bernoulli(0.1)));
+    }
+    if (rng.Bernoulli(0.03)) {
+      for (int64_t i = rng.UniformInt(1, 4); i > 0; --i) {
+        workers.Enqueue(w, hawk::QueueEntry::Probe(w, rng.Bernoulli(0.2)));
+      }
+    }
+  }
+  hawk::StealingPolicy stealer(/*cap=*/10, /*seed=*/4);
+  std::vector<hawk::WorkerId> victims;
+  int64_t screened = 0;
+  int64_t found = 0;
+  for (auto _ : state) {
+    const auto thief = static_cast<hawk::WorkerId>(rng.NextBounded(num_workers));
+    stealer.ChooseVictimsInto(cluster, thief, &victims);
+    for (const hawk::WorkerId victim : victims) {
+      ++screened;
+      if (workers.HasStealableGroup(victim)) {
+        ++found;
+        break;
+      }
+    }
+  }
+  state.SetItemsProcessed(screened);
+  state.counters["victims_per_attempt"] =
+      static_cast<double>(screened) / static_cast<double>(state.iterations());
+  state.counters["success_ratio"] =
+      static_cast<double>(found) / static_cast<double>(state.iterations());
+}
+BENCHMARK(BM_StealVictimScreen)->Arg(1500)->Arg(1'000'000);
 
 void BM_GoogleTraceGeneration(benchmark::State& state) {
   hawk::GoogleTraceParams params;

@@ -1,4 +1,4 @@
-// The simulated cluster: a struct-of-arrays WorkerStore plus the Hawk
+// The simulated cluster: a WorkerStore (one cache line per worker) plus the Hawk
 // partitioning scheme (paper §3.4).
 //
 // Workers [0, general_count) form the *general partition* (short and long
@@ -52,9 +52,6 @@ class Cluster {
     return static_cast<double>(store_.ExecutingTotal()) /
            static_cast<double>(store_.TotalSlots());
   }
-
-  // Number of slots currently executing a task.
-  uint64_t ExecutingCount() const { return store_.ExecutingTotal(); }
 
   // Total accumulated execution time across workers (work conservation).
   DurationUs TotalBusyUs() const { return store_.TotalBusyUs(); }

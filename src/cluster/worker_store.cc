@@ -11,15 +11,7 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
     HAWK_CHECK_LE(spec.big_worker_slots, kMaxSlotsPerWorker);
   }
 
-  slots_.resize(num_workers);
-  free_.resize(num_workers);
-  executing_.assign(num_workers, 0);
-  requesting_.assign(num_workers, 0);
-  occupied_long_.assign(num_workers, 0);
-  queue_long_.assign(num_workers, 0);
-  queue_short_.assign(num_workers, 0);
-  queues_.resize(num_workers);
-  busy_accum_us_.assign(num_workers, 0);
+  recs_.resize(num_workers);
 
   uniform_ = spec.Uniform() || spec.BigWorkerCount(num_workers) == 0;
   uniform_slots_ = spec.slots_per_worker;
@@ -29,8 +21,8 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
   uint64_t next_slot = 0;
   for (uint32_t w = 0; w < num_workers; ++w) {
     const uint32_t s = uniform_ ? spec.slots_per_worker : spec.SlotsOf(w, num_workers);
-    slots_[w] = static_cast<uint16_t>(s);
-    free_[w] = static_cast<uint16_t>(s);
+    recs_[w].slots = static_cast<uint16_t>(s);
+    recs_[w].free = static_cast<uint16_t>(s);
     if (!uniform_) {
       slot_begin_[w] = static_cast<SlotId>(next_slot);
     }
@@ -53,24 +45,20 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
 }
 
 size_t WorkerStore::StealableGroupBegin(WorkerId id) const {
-  // O(1) screening on the composition counters: the group is made of short
+  // O(1) screening on the record's counters: the group is made of short
   // entries, and (unless some occupied slot holds long work) needs a long
   // entry ahead of it in the queue.
-  const size_t i = Check(id);
-  const RingBuffer<QueueEntry>& queue = queues_[i];
-  const size_t size = queue.Size();
-  if (queue_short_[i] == 0) {
-    return size;
-  }
-  const bool occupied_long = occupied_long_[i] > 0;
-  if (!occupied_long && queue_long_[i] == 0) {
+  const Rec& w = Record(id);
+  const size_t size = w.queue.Size();
+  const bool occupied_long = w.occupied_long > 0;
+  if (w.queue_short == 0 || (!occupied_long && w.queue_short == size)) {
     return size;
   }
   // Scan [current work, queue...]; the group starts at the first short entry
   // observed after at least one long entry.
   bool seen_long = occupied_long;
   for (size_t k = 0; k < size; ++k) {
-    if (queue.At(k).is_long) {
+    if (w.queue.At(k).is_long) {
       seen_long = true;
       continue;
     }
@@ -87,32 +75,23 @@ size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
   // victim sample must fail fast instead.
   HAWK_CHECK_NE(victim, thief) << "worker " << thief << " stealing from itself";
   const size_t begin = StealableGroupBegin(victim);
-  const RingBuffer<QueueEntry>& queue = queues_[victim];
-  if (begin >= queue.Size()) {
+  Rec& w = Record(victim);
+  if (begin == w.queue.Size()) {
     return 0;
   }
   size_t end = begin;
-  while (end < queue.Size() && !queue.At(end).is_long) {
-    Enqueue(thief, queue.At(end));
+  while (end < w.queue.Size() && !w.queue.At(end).is_long) {
+    Enqueue(thief, w.queue.At(end));
     ++end;
   }
-  RemoveGroup(victim, begin, end);
-  return end - begin;
-}
-
-void WorkerStore::RemoveGroup(WorkerId id, size_t begin, size_t end) {
-  const size_t i = Check(id);
-  for (size_t k = begin; k < end; ++k) {
-    if (queues_[i].At(k).is_long) {
-      --queue_long_[i];
-    } else {
-      --queue_short_[i];
-    }
-  }
-  ShardTotals& totals = totals_[ShardOf(i)];
-  HAWK_CHECK_GE(totals.queued, end - begin);
-  totals.queued -= end - begin;
-  queues_[i].EraseRange(begin, end);
+  // Everything moved is short.
+  const size_t moved = end - begin;
+  w.queue_short -= static_cast<uint32_t>(moved);
+  ShardTotals& totals = totals_[ShardOf(victim)];
+  HAWK_CHECK_GE(totals.queued, moved);
+  totals.queued -= moved;
+  w.queue.EraseRange(begin, end);
+  return moved;
 }
 
 void WorkerStore::ConfigureShards(const std::vector<WorkerId>& shard_begin) {

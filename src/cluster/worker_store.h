@@ -1,23 +1,29 @@
-// Struct-of-arrays worker state for million-worker clusters.
+// Per-worker state for million-worker clusters: one 64-byte record each.
 //
-// The former array-of-structs `Worker` world kept each worker's state, queue
-// composition and ring buffer in one object; at 100k+ workers the simulation
-// hot loops (dispatch gating, steal-victim screening, utilization sampling)
-// paid a cache line per worker touched. WorkerStore splits the state by
-// temperature instead:
+// Every visit to a worker in the simulation's hot paths reads several of its
+// fields at once. A probe delivery enqueues (queue ring plus queue
+// composition) and dispatches (free slots, then pop or request); a steal
+// victim is screened on its queue composition and occupied-long count, then
+// its ring is scanned; a completion releases a slot and dispatches again.
+// Probes and steal victims land on random workers, so at 1M workers every
+// visit is a cache miss. WorkerStore therefore keeps all of one worker's
+// state in one cache-line-aligned record:
 //
-//   hot, one dense array each, indexed by WorkerId:
-//     free_           free slots (the dispatch gate reads only this)
-//     executing_      slots currently running a task
-//     requesting_     slots blocked on a late-binding RTT
-//     occupied_long_  occupied slots holding long work (steal screening)
-//     queue_short_ /  queue composition counters (steal screening rejects a
-//     queue_long_     victim without ever touching its ring)
+//   queue          FIFO ring header of probe/task entries (the entries
+//                  themselves live in the ring's heap storage)
+//   free, executing, requesting, occupied_long, slots
+//                  slot counters and capacity; occupied_long counts
+//                  occupied slots holding long work (steal screening)
+//   queue_short    short entries queued; long ones are the queue size minus
+//                  this, so the steal screen rejects most victims without
+//                  touching the ring's storage
+//   busy_us        accumulated execution time (work conservation)
 //
-//   cold side arrays, same indexing:
-//     queues_         per-worker FIFO ring buffers (probe/task entries)
-//     busy_accum_us_  accumulated execution time (work conservation)
-//     slots_          per-worker capacity
+// One visit costs one line, the record's, plus the ring storage when entries
+// are actually read or written. The steal path prefetches the records of all
+// sampled victims before contacting the first (Prefetch), so those misses
+// overlap. Records never share a line, so concurrent shards of the sharded
+// executor never write the same line of worker state.
 //
 // Workers are multi-slot (paper §4.1: a multi-slot node is equivalent to
 // more single-slot workers; here the slots share one FIFO queue): a worker
@@ -39,7 +45,6 @@
 #include <vector>
 
 #include "src/cluster/queue_entry.h"
-#include "src/common/aligned.h"
 #include "src/common/check.h"
 #include "src/common/ring_buffer.h"
 #include "src/common/types.h"
@@ -52,8 +57,8 @@ namespace hawk {
 // also a slot-id prefix.
 using SlotId = uint32_t;
 
-// Per-worker capacity ceiling: uint16 slot counters keep the hot arrays
-// dense, and the cap sits well below the type's ceiling so per-worker
+// Per-worker capacity ceiling: uint16 slot counters keep the worker record
+// within one cache line, and the cap sits well below the type's ceiling so per-worker
 // arithmetic can never wrap. HawkConfig::Validate() enforces the same bound
 // so bad configs fail with a Status before reaching the store's CHECKs.
 inline constexpr uint32_t kMaxSlotsPerWorker = 4096;
@@ -99,8 +104,12 @@ class WorkerStore {
  public:
   explicit WorkerStore(uint32_t num_workers, const SlotSpec& spec = SlotSpec{});
 
-  uint32_t NumWorkers() const { return static_cast<uint32_t>(slots_.size()); }
+  uint32_t NumWorkers() const { return static_cast<uint32_t>(recs_.size()); }
   uint64_t TotalSlots() const { return total_slots_; }
+
+  // Hints that `id`'s record is about to be read: callers about to visit
+  // several random workers give every hint first so the misses overlap.
+  void Prefetch(WorkerId id) const { __builtin_prefetch(&recs_[Check(id)]); }
 
   // --- sharded execution ---------------------------------------------------
   // Splits the occupancy accumulators (queued/executing totals) by worker
@@ -114,24 +123,24 @@ class WorkerStore {
   void ConfigureShards(const std::vector<WorkerId>& shard_begin);
 
   // --- slots -------------------------------------------------------------
-  uint32_t Slots(WorkerId id) const { return slots_[Check(id)]; }
-  uint32_t FreeSlots(WorkerId id) const { return free_[Check(id)]; }
-  bool HasFreeSlot(WorkerId id) const { return free_[Check(id)] > 0; }
-  uint32_t ExecutingSlots(WorkerId id) const { return executing_[Check(id)]; }
-  uint32_t RequestingSlots(WorkerId id) const { return requesting_[Check(id)]; }
+  uint32_t Slots(WorkerId id) const { return Record(id).slots; }
+  uint32_t FreeSlots(WorkerId id) const { return Record(id).free; }
+  bool HasFreeSlot(WorkerId id) const { return Record(id).free > 0; }
+  uint32_t ExecutingSlots(WorkerId id) const { return Record(id).executing; }
+  uint32_t RequestingSlots(WorkerId id) const { return Record(id).requesting; }
   uint32_t OccupiedSlots(WorkerId id) const {
-    const size_t i = Check(id);
-    return static_cast<uint32_t>(executing_[i]) + requesting_[i];
+    const Rec& w = Record(id);
+    return static_cast<uint32_t>(w.executing) + w.requesting;
   }
   // True while any occupied slot (executing or resolving) holds long work;
   // the steal scan treats an in-flight long probe like an executing long task.
-  bool AnyOccupiedLong(WorkerId id) const { return occupied_long_[Check(id)] > 0; }
+  bool AnyOccupiedLong(WorkerId id) const { return Record(id).occupied_long > 0; }
 
   // --- slot-index space ----------------------------------------------------
   // First slot id of `id`'s contiguous slot range. SlotBegin(NumWorkers())
   // == TotalSlots().
   SlotId SlotBegin(WorkerId id) const {
-    HAWK_CHECK_LE(id, slots_.size());
+    HAWK_CHECK_LE(id, recs_.size());
     return uniform_ ? static_cast<SlotId>(id * uniform_slots_) : slot_begin_[id];
   }
   WorkerId WorkerOfSlot(SlotId slot) const {
@@ -141,31 +150,27 @@ class WorkerStore {
 
   // --- queue -----------------------------------------------------------
   void Enqueue(WorkerId id, const QueueEntry& entry) {
-    const size_t i = Check(id);
-    queues_[i].PushBack(entry);
-    if (entry.is_long) {
-      ++queue_long_[i];
-    } else {
-      ++queue_short_[i];
+    Rec& w = Record(id);
+    w.queue.PushBack(entry);
+    if (!entry.is_long) {
+      ++w.queue_short;
     }
-    ++totals_[ShardOf(i)].queued;
+    ++totals_[ShardOf(id)].queued;
   }
 
-  bool QueueEmpty(WorkerId id) const { return queues_[Check(id)].Empty(); }
-  size_t QueueSize(WorkerId id) const { return queues_[Check(id)].Size(); }
+  bool QueueEmpty(WorkerId id) const { return Record(id).queue.Empty(); }
+  size_t QueueSize(WorkerId id) const { return Record(id).queue.Size(); }
 
   // Queue entry at FIFO position `i` (0 = next to pop).
-  const QueueEntry& QueueAt(WorkerId id, size_t i) const { return queues_[Check(id)].At(i); }
+  const QueueEntry& QueueAt(WorkerId id, size_t i) const { return Record(id).queue.At(i); }
 
   QueueEntry PopFront(WorkerId id) {
-    const size_t i = Check(id);
-    const QueueEntry entry = queues_[i].PopFront();
-    if (entry.is_long) {
-      --queue_long_[i];
-    } else {
-      --queue_short_[i];
+    Rec& w = Record(id);
+    const QueueEntry entry = w.queue.PopFront();
+    if (!entry.is_long) {
+      --w.queue_short;
     }
-    ShardTotals& totals = totals_[ShardOf(i)];
+    ShardTotals& totals = totals_[ShardOf(id)];
     HAWK_CHECK_GT(totals.queued, 0u);
     --totals.queued;
     return entry;
@@ -177,9 +182,8 @@ class WorkerStore {
   // re-dispatch; callers on hot fault paths pool `*out` across calls so a
   // crash costs no allocation once warm.
   void DrainQueueInto(WorkerId id, std::vector<QueueEntry>* out) {
-    const size_t i = Check(id);
-    out->reserve(out->size() + queues_[i].Size());
-    while (!queues_[i].Empty()) {
+    out->reserve(out->size() + QueueSize(id));
+    while (!QueueEmpty(id)) {
       out->push_back(PopFront(id));
     }
   }
@@ -189,82 +193,82 @@ class WorkerStore {
   // responsible for invalidating the in-flight completions/resolves whose
   // slots this frees.
   void ResetSlots(WorkerId id) {
-    const size_t i = Check(id);
-    HAWK_CHECK(queues_[i].Empty()) << "ResetSlots on worker " << id
-                                   << " with a non-empty queue (drain first)";
-    ShardTotals& totals = totals_[ShardOf(i)];
-    HAWK_CHECK_GE(totals.executing, executing_[i]);
-    totals.executing -= executing_[i];
-    executing_[i] = 0;
-    requesting_[i] = 0;
-    occupied_long_[i] = 0;
-    free_[i] = slots_[i];
+    Rec& w = Record(id);
+    HAWK_CHECK(w.queue.Empty()) << "ResetSlots on worker " << id
+                                << " with a non-empty queue (drain first)";
+    ShardTotals& totals = totals_[ShardOf(id)];
+    HAWK_CHECK_GE(totals.executing, w.executing);
+    totals.executing -= w.executing;
+    w.executing = 0;
+    w.requesting = 0;
+    w.occupied_long = 0;
+    w.free = w.slots;
   }
 
   // Takes back execution time charged by BeginExecute for work a crash threw
   // away (BeginExecute charges the full duration up front; a killed task only
   // delivered part of it).
   void DeductBusyUs(WorkerId id, DurationUs us) {
-    const size_t i = Check(id);
-    HAWK_CHECK_GE(busy_accum_us_[i], us);
-    busy_accum_us_[i] -= us;
+    Rec& w = Record(id);
+    HAWK_CHECK_GE(w.busy_us, us);
+    w.busy_us -= us;
   }
 
   // --- execution state transitions --------------------------------------
   // Occupies a free slot with a late-binding request (probe at head of
   // queue; resolves after one RTT).
   void BeginRequest(WorkerId id, bool probe_is_long) {
-    const size_t i = Check(id);
-    HAWK_CHECK_GT(free_[i], 0u) << "BeginRequest on worker " << id << " with no free slot";
-    --free_[i];
-    ++requesting_[i];
+    Rec& w = Record(id);
+    HAWK_CHECK_GT(w.free, 0u) << "BeginRequest on worker " << id << " with no free slot";
+    --w.free;
+    ++w.requesting;
     if (probe_is_long) {
-      ++occupied_long_[i];
+      ++w.occupied_long;
     }
   }
 
   // Releases a requesting slot (the RTT answer arrived — task or cancel).
   // `probe_is_long` must match the BeginRequest that occupied the slot.
   void ResolveRequest(WorkerId id, bool probe_is_long) {
-    const size_t i = Check(id);
-    HAWK_CHECK_GT(requesting_[i], 0u) << "ResolveRequest on worker " << id
-                                      << " with no request in flight";
-    --requesting_[i];
-    ++free_[i];
+    Rec& w = Record(id);
+    HAWK_CHECK_GT(w.requesting, 0u) << "ResolveRequest on worker " << id
+                                    << " with no request in flight";
+    --w.requesting;
+    ++w.free;
     if (probe_is_long) {
-      HAWK_CHECK_GT(occupied_long_[i], 0u);
-      --occupied_long_[i];
+      HAWK_CHECK_GT(w.occupied_long, 0u);
+      --w.occupied_long;
     }
   }
 
   // Occupies a free slot with an executing task.
   void BeginExecute(WorkerId id, SimTime now, const QueueEntry& task) {
     (void)now;
-    const size_t i = Check(id);
-    HAWK_CHECK_GT(free_[i], 0u) << "BeginExecute on worker " << id << " with no free slot";
+    Rec& w = Record(id);
+    HAWK_CHECK_GT(w.free, 0u) << "BeginExecute on worker " << id << " with no free slot";
     HAWK_CHECK(task.kind == EntryKind::kTask);
-    --free_[i];
-    ++executing_[i];
+    --w.free;
+    ++w.executing;
     if (task.is_long) {
-      ++occupied_long_[i];
+      ++w.occupied_long;
     }
-    busy_accum_us_[i] += task.duration;
-    ++totals_[ShardOf(i)].executing;
+    w.busy_us += task.duration;
+    ++totals_[ShardOf(id)].executing;
   }
 
   // Releases an executing slot. `was_long` must match the task's scheduling
   // class from BeginExecute.
   void FinishExecute(WorkerId id, bool was_long) {
-    const size_t i = Check(id);
-    HAWK_CHECK_GT(executing_[i], 0u) << "FinishExecute on worker " << id
-                                     << " with nothing executing";
-    --executing_[i];
-    ++free_[i];
+    Rec& w = Record(id);
+    HAWK_CHECK_GT(w.executing, 0u) << "FinishExecute on worker " << id
+                                   << " with nothing executing";
+    --w.executing;
+    ++w.free;
     if (was_long) {
-      HAWK_CHECK_GT(occupied_long_[i], 0u);
-      --occupied_long_[i];
+      HAWK_CHECK_GT(w.occupied_long, 0u);
+      --w.occupied_long;
     }
-    ShardTotals& totals = totals_[ShardOf(i)];
+    ShardTotals& totals = totals_[ShardOf(id)];
     HAWK_CHECK_GT(totals.executing, 0u);
     --totals.executing;
   }
@@ -285,7 +289,7 @@ class WorkerStore {
 
   // True iff the stealable group is non-empty.
   bool HasStealableGroup(WorkerId id) const {
-    return StealableGroupBegin(id) < queues_[id].Size();
+    return StealableGroupBegin(id) < QueueSize(id);
   }
 
   // --- accounting ---------------------------------------------------------
@@ -311,17 +315,31 @@ class WorkerStore {
   }
 
   // Total microseconds of task execution accumulated on `id`.
-  DurationUs BusyAccumUs(WorkerId id) const { return busy_accum_us_[Check(id)]; }
+  DurationUs BusyAccumUs(WorkerId id) const { return Record(id).busy_us; }
 
   DurationUs TotalBusyUs() const {
     DurationUs total = 0;
-    for (const DurationUs busy : busy_accum_us_) {
-      total += busy;
+    for (const Rec& w : recs_) {
+      total += w.busy_us;
     }
     return total;
   }
 
  private:
+  // One worker's state, one cache line (see the file comment). The vector's
+  // storage is line-aligned through C++17 aligned operator new.
+  struct alignas(64) Rec {
+    RingBuffer<QueueEntry> queue;
+    uint16_t free = 0;
+    uint16_t executing = 0;
+    uint16_t requesting = 0;
+    uint16_t occupied_long = 0;
+    uint16_t slots = 0;
+    uint32_t queue_short = 0;
+    DurationUs busy_us = 0;
+  };
+  static_assert(sizeof(Rec) == 64, "a worker record must fill exactly one cache line");
+
   // One cache line per shard: shards mutate their own totals concurrently, so
   // neighbouring shards must never share a line (false sharing would only
   // cost performance, but a shared counter would be a data race).
@@ -331,37 +349,19 @@ class WorkerStore {
   };
 
   size_t Check(WorkerId id) const {
-    HAWK_CHECK_LT(id, slots_.size());
+    HAWK_CHECK_LT(id, recs_.size());
     return id;
   }
+  Rec& Record(WorkerId id) { return recs_[Check(id)]; }
+  const Rec& Record(WorkerId id) const { return recs_[Check(id)]; }
 
-  uint32_t ShardOf(size_t i) const { return shard_of_.empty() ? 0u : shard_of_[i]; }
+  uint32_t ShardOf(WorkerId id) const { return shard_of_.empty() ? 0u : shard_of_[id]; }
 
   // Index (FIFO position) of the first entry of the stealable group, or the
   // queue size if none. Screens on the composition counters before scanning.
   size_t StealableGroupBegin(WorkerId id) const;
 
-  // Erases queue positions [begin, end) and updates the composition counters.
-  void RemoveGroup(WorkerId id, size_t begin, size_t end);
-
-  // Hot arrays (dense, one small integer per worker). Cache-line-aligned
-  // bases: concurrent shards of the sharded executor mutate disjoint worker
-  // ranges of these arrays, and the driver rounds large-cluster shard
-  // boundaries to 32-worker multiples — with aligned bases that puts every
-  // boundary on a line boundary in each array, so neighbouring shards never
-  // write the same line.
-  CacheAlignedVector<uint16_t> free_;
-  CacheAlignedVector<uint16_t> executing_;
-  CacheAlignedVector<uint16_t> requesting_;
-  CacheAlignedVector<uint16_t> occupied_long_;
-  CacheAlignedVector<uint32_t> queue_long_;
-  CacheAlignedVector<uint32_t> queue_short_;
-
-  // Cold side arrays (queues_ and busy_accum_us_ are phase-written too, so
-  // they get the same aligned-base treatment).
-  std::vector<uint16_t> slots_;
-  CacheAlignedVector<RingBuffer<QueueEntry>> queues_;
-  CacheAlignedVector<DurationUs> busy_accum_us_;
+  std::vector<Rec> recs_;
 
   // Slot-index mapping. Uniform layouts need no tables (divide/multiply by
   // the shared slot count); heterogeneous layouts carry prefix + reverse maps.

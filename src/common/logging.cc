@@ -54,10 +54,6 @@ LogLevel GetLogLevel() {
   return static_cast<LogLevel>(level);
 }
 
-void SetLogLevel(LogLevel level) {
-  g_level.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
 namespace internal {
 
 LogMessage::LogMessage(LogLevel level, const char* file, int line) : level_(level) {

@@ -1,9 +1,9 @@
 // Leveled logging to stderr.
 //
 // The simulator itself never logs on hot paths; logging exists for the
-// threaded prototype runtime, examples, and benches. Level is settable
-// programmatically or via the HAWK_LOG_LEVEL environment variable
-// (debug|info|warn|error, default info).
+// threaded prototype runtime, examples, and benches. The level comes
+// from the HAWK_LOG_LEVEL environment variable (debug|info|warn|error,
+// default info).
 #ifndef HAWK_COMMON_LOGGING_H_
 #define HAWK_COMMON_LOGGING_H_
 
@@ -21,7 +21,6 @@ enum class LogLevel : int {
 
 // Returns the process-wide minimum level that will be emitted.
 LogLevel GetLogLevel();
-void SetLogLevel(LogLevel level);
 
 namespace internal {
 

@@ -4,11 +4,14 @@
 // once the ring is warm, storage is contiguous (two spans at most), and
 // random access is one mask. Shared by the worker queues (src/cluster) and
 // the event queue's monotone lanes (src/sim) so the modular-index and grow
-// invariants live in exactly one place.
+// invariants live in exactly one place. Indices are 32-bit so the header
+// (storage vector plus head/size/mask) fits in 40 bytes, small enough to sit
+// inside a worker's 64-byte WorkerStore record.
 #ifndef HAWK_COMMON_RING_BUFFER_H_
 #define HAWK_COMMON_RING_BUFFER_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <utility>
 #include <vector>
 
@@ -19,6 +22,10 @@ namespace hawk {
 template <typename T>
 class RingBuffer {
  public:
+  // Largest capacity: 2^31 keeps every `head_ + i` (both below capacity)
+  // inside uint32_t.
+  static constexpr size_t kMaxCapacity = size_t{1} << 31;
+
   bool Empty() const { return size_ == 0; }
   size_t Size() const { return size_; }
 
@@ -68,14 +75,14 @@ class RingBuffer {
       for (size_t i = begin; i > 0; --i) {
         ring_[(head_ + i - 1 + count) & mask_] = std::move(ring_[(head_ + i - 1) & mask_]);
       }
-      head_ = (head_ + count) & mask_;
+      head_ = static_cast<uint32_t>((head_ + count) & mask_);
     } else {
       // Fewer entries after the gap: shift the tail side left.
       for (size_t i = end; i < size_; ++i) {
         ring_[(head_ + i - count) & mask_] = std::move(ring_[(head_ + i) & mask_]);
       }
     }
-    size_ -= count;
+    size_ -= static_cast<uint32_t>(count);
   }
 
   void Clear() {
@@ -86,21 +93,22 @@ class RingBuffer {
  private:
   void Grow() {
     const size_t new_capacity = ring_.empty() ? 8 : ring_.size() * 2;
+    HAWK_CHECK_LE(new_capacity, kMaxCapacity) << "ring buffer outgrows its 32-bit indices";
     std::vector<T> grown(new_capacity);
     for (size_t i = 0; i < size_; ++i) {
       grown[i] = std::move(ring_[(head_ + i) & mask_]);
     }
     ring_ = std::move(grown);
     head_ = 0;
-    mask_ = new_capacity - 1;
+    mask_ = static_cast<uint32_t>(new_capacity - 1);
   }
 
   // ring_.size() is always zero or a power of two; mask_ = ring_.size() - 1.
   // Valid entries are ring_[(head_ + i) & mask_] for i in [0, size_).
   std::vector<T> ring_;
-  size_t head_ = 0;
-  size_t size_ = 0;
-  size_t mask_ = 0;
+  uint32_t head_ = 0;
+  uint32_t size_ = 0;
+  uint32_t mask_ = 0;
 };
 
 }  // namespace hawk

@@ -54,9 +54,6 @@ class AdaptiveTimeout {
     return std::clamp(static_cast<DurationUs>(std::llround(scaled)), floor_us_, cap_us_);
   }
 
-  double MeanUs() const { return srtt_; }
-  double DeviationUs() const { return rttvar_; }
-
   // Deterministic retry jitter in [0, span): a splitmix64 hash of
   // (key, attempt), so both executors de-synchronize retransmits without
   // consuming an RNG stream (the sim's reproducibility across sweep thread

@@ -160,9 +160,6 @@ struct HawkConfig {
            straggler_rate > 0.0;
   }
 
-  // True when the speculative re-execution subsystem is on.
-  bool SpeculationEnabled() const { return speculation_threshold > 0.0; }
-
   // Sanity-checks the configuration; run entry points call this so a bad
   // config fails loudly instead of silently producing a nonsense run.
   Status Validate() const;

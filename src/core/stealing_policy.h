@@ -87,6 +87,10 @@ class StealingPolicy {
       if (std::find(victims->begin(), victims->end(), victim) != victims->end()) {
         continue;
       }
+      // Every victim is a random worker: start all record loads before the
+      // first is read (kDChoice's sort, TryStealInto's scan), so the misses
+      // overlap instead of queueing one behind another.
+      cluster.workers().Prefetch(victim);
       victims->push_back(victim);
     }
     if (selection_ == VictimSelection::kDChoice) {

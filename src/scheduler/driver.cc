@@ -47,21 +47,21 @@ void SimulationDriver::Dispatch(const SimEvent& ev) {
       TryDispatch(ev.worker);
       break;
     case SimEvent::Type::kTaskComplete:
-      if (ev.incarnation != incarnation_[ev.worker]) {
+      if (ev.incarnation != Incarnation(ev.worker)) {
         // Completion of a task the crash already killed and returned; the
         // re-dispatched copy is the only live one.
         break;
       }
       EndExecution(ev);
       CommitCompletion(ev);
-      if (down_[ev.worker] == DownKind::kUp) {
+      if (Down(ev.worker) == DownKind::kUp) {
         TryDispatch(ev.worker);
       }
       break;
     case SimEvent::Type::kSpecCheck:
       // A check for a copy that died with its worker is dropped: crash
       // re-dispatch owns recovery.
-      if (ev.incarnation == incarnation_[ev.worker]) {
+      if (ev.incarnation == Incarnation(ev.worker)) {
         Straggling(ev);
       }
       break;

@@ -37,8 +37,10 @@ DriverCore<Executor>::DriverCore(const Trace* trace, const HawkConfig& config,
   // (hawk-spec forces it on). Queried before Attach; must not touch ctx_.
   spec_threshold_ = policy->SpeculationThreshold(config);
   speculation_enabled_ = spec_threshold_ > 0.0;
-  incarnation_.assign(config.num_workers, 0);
-  down_.assign(config.num_workers, DownKind::kUp);
+  if (config.worker_crash_rate > 0.0 || config.worker_churn_rate > 0.0) {
+    incarnation_.assign(config.num_workers, 0);
+    down_.assign(config.num_workers, DownKind::kUp);
+  }
   if (track_exec_) {
     exec_records_.resize(config.num_workers);
   }
@@ -162,7 +164,7 @@ void DriverCore<Executor>::HandleFaultTick(SimEvent::Type type) {
   // per tick regardless of what the victim draw hits.
   const auto victim =
       static_cast<WorkerId>(fault_rng_.UniformInt(0, config_.num_workers - 1));
-  const bool up = down_[victim] == DownKind::kUp;
+  const bool up = Down(victim) == DownKind::kUp;
   ScheduleFaultTick(type);
   if (!up) {
     // Already out of service; this tick fizzles (the fault process does not

@@ -251,7 +251,7 @@ class DriverCore : public SchedulerContext {
   // before a crash), or to a down worker.
   bool DeliveryDead(const SimEvent& ev) const {
     return (ev.flags & SimEvent::kFlagAbandoned) != 0 ||
-           ev.incarnation != incarnation_[ev.worker] || down_[ev.worker] != DownKind::kUp;
+           ev.incarnation != Incarnation(ev.worker) || Down(ev.worker) != DownKind::kUp;
   }
   // The queue entry a live delivery becomes.
   static QueueEntry DeliveredEntry(const SimEvent& ev, SimTime at);
@@ -266,8 +266,18 @@ class DriverCore : public SchedulerContext {
   // when no check applies (speculation off, or no estimate).
   SimTime SpecCheckDelay(JobId job) const;
   SimEvent Stamped(SimEvent ev) const {
-    ev.incarnation = incarnation_[ev.worker];
+    ev.incarnation = Incarnation(ev.worker);
     return ev;
+  }
+  // The crash ledger, read through these two: without a crash or churn
+  // process nothing ever bumps an incarnation or takes a worker down, so
+  // fault-free runs allocate neither array and deliveries touch no per-worker
+  // state but the WorkerStore record.
+  uint32_t Incarnation(WorkerId worker) const {
+    return incarnation_.empty() ? 0 : incarnation_[worker];
+  }
+  DownKind Down(WorkerId worker) const {
+    return down_.empty() ? DownKind::kUp : down_[worker];
   }
 
   const Trace* trace_;
@@ -307,6 +317,7 @@ class DriverCore : public SchedulerContext {
   // populated when speculation_enabled_.
   std::unordered_map<uint64_t, SpecState> spec_state_;
   // Read by sharded phases for staleness checks; written only by the core.
+  // Allocated only when a crash or churn process is armed (see Incarnation()).
   std::vector<uint32_t> incarnation_;  // Bumped on crash; stamps events.
   std::vector<DownKind> down_;
   // Per-worker in-flight tasks; empty vectors unless track_exec_.
@@ -446,13 +457,13 @@ void DriverCore<Executor>::HandleCoordinatorEvent(const SimEvent& ev) {
       }
       break;
     case SimEvent::Type::kIdleRetry:
-      if (ev.incarnation != incarnation_[ev.worker]) {
+      if (ev.incarnation != Incarnation(ev.worker)) {
         // Pre-crash timer; the pending bit was already cleared by the crash
         // and may have been re-armed since — leave it alone.
         break;
       }
       retry_pending_[ev.worker] = 0;
-      if (down_[ev.worker] == DownKind::kUp && cluster_.workers().HasFreeSlot(ev.worker)) {
+      if (Down(ev.worker) == DownKind::kUp && cluster_.workers().HasFreeSlot(ev.worker)) {
         TryDispatch(ev.worker);
       }
       break;
@@ -533,14 +544,14 @@ void DriverCore<Executor>::TryDispatch(WorkerId worker) {
 
 template <typename Executor>
 void DriverCore<Executor>::ResolveRequest(const SimEvent& ev) {
-  if (ev.incarnation != incarnation_[ev.worker]) {
+  if (ev.incarnation != Incarnation(ev.worker)) {
     // The requesting slot died with the crash (ResetSlots already freed it);
     // only the probe itself is left to account for.
     LostProbe(ev.job, ev.is_long);
     return;
   }
   cluster_.workers().ResolveRequest(ev.worker, ev.is_long);
-  if (down_[ev.worker] != DownKind::kUp) {
+  if (Down(ev.worker) != DownKind::kUp) {
     // Graceful departure while the request was in flight: release the slot
     // but decline the work.
     LostProbe(ev.job, ev.is_long);

@@ -55,10 +55,6 @@ struct ExperimentSpec {
   // Fluent builder: each setter returns *this so specs read as one
   // declaration. All fields are also plain members — mutate directly when
   // that is clearer.
-  ExperimentSpec& WithScheduler(std::string name) {
-    scheduler = std::move(name);
-    return *this;
-  }
   ExperimentSpec& WithConfig(const HawkConfig& c) {
     config = c;
     return *this;

@@ -62,9 +62,11 @@ inline void CpuRelax() {
 constexpr int kSpinIters = 2048;
 
 // Shard boundaries are rounded to this many workers when shards are at least
-// 128x that size: 32 per-worker counters of 2 bytes fill one 64-byte cache
-// line, so with the store's line-aligned array bases a 32-worker boundary
-// keeps neighbouring shards out of each other's lines in every hot array.
+// 128x that size. Worker records are one cache line each, so any boundary
+// keeps neighbouring shards off each other's lines. Like the shard count
+// itself, the exact placement is non-semantic: the canonical (due, worker)
+// commit order is partition-independent, which shard_test pins across shard
+// counts.
 constexpr WorkerId kBoundaryAlignWorkers = 32;
 
 }  // namespace
@@ -87,11 +89,7 @@ ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkC
   shard_begin_.reserve(num_shards);
   shard_begin_.push_back(0);
   // Large-cluster boundaries are additionally rounded to 32-worker multiples
-  // (a cache line of 2-byte counters; see kBoundaryAlignWorkers), so
-  // neighbouring shards never write the same line of any per-worker hot
-  // array. Like the shard count itself, the exact boundary placement is
-  // non-semantic: the canonical (due, worker) commit order is partition-
-  // independent, which shard_test pins across shard counts.
+  // (see kBoundaryAlignWorkers).
   const bool round_boundaries =
       config.num_workers / num_shards >= kBoundaryAlignWorkers * 128;
   for (uint32_t s = 1; s < num_shards; ++s) {
@@ -315,7 +313,7 @@ void ShardedSimulationDriver::Commit(const CoordEvent& event) {
       // The steal opportunity of a phase-side idle transition commits here,
       // unless the worker's world changed since emission (a crash bumped the
       // incarnation, or it departed).
-      if (ev.incarnation == incarnation_[ev.worker] && down_[ev.worker] == DownKind::kUp) {
+      if (ev.incarnation == Incarnation(ev.worker) && Down(ev.worker) == DownKind::kUp) {
         TryDispatch(ev.worker);
       }
       break;
@@ -369,12 +367,12 @@ void ShardedSimulationDriver::RunShardPhase(Shard& shard, SimTime t_end) {
         TryDispatchLocal(shard, ev.worker, at);
         break;
       case SimEvent::Type::kTaskComplete:
-        if (ev.incarnation != incarnation_[ev.worker]) {
+        if (ev.incarnation != Incarnation(ev.worker)) {
           break;
         }
         EndExecution(ev);
         Emit(shard, at, ev);
-        if (down_[ev.worker] == DownKind::kUp) {
+        if (Down(ev.worker) == DownKind::kUp) {
           TryDispatchLocal(shard, ev.worker, at);
         }
         break;
@@ -383,7 +381,7 @@ void ShardedSimulationDriver::RunShardPhase(Shard& shard, SimTime t_end) {
         // scheduled when the stretch outlives the threshold, and this
         // worker's completion pops after the check). The speculation gate
         // itself lives at the barrier.
-        if (ev.incarnation == incarnation_[ev.worker]) {
+        if (ev.incarnation == Incarnation(ev.worker)) {
           Emit(shard, at, ev);
         }
         break;

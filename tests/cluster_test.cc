@@ -1,14 +1,16 @@
-// Tests for the cluster substrate: the struct-of-arrays WorkerStore (FIFO
-// discipline, slot-based execution transitions, the Fig. 3 steal-group
-// extraction rule, slot-index mapping), partition layout, utilization
-// accounting, and late-binding job tracking.
+// Tests for the cluster substrate: the WorkerStore (FIFO discipline,
+// slot-based execution transitions, the Fig. 3 steal-group extraction rule
+// against a reference scan, slot-index mapping), partition layout,
+// utilization accounting, and late-binding job tracking.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/job_tracker.h"
 #include "src/cluster/worker_store.h"
+#include "src/common/random.h"
 #include "src/workload/google_trace.h"
 
 namespace hawk {
@@ -363,6 +365,135 @@ TEST(StealScanTest, ExtractIsRepeatable) {
   EXPECT_EQ(StealOntoWorker1(store).size(), 1u);
   EXPECT_TRUE(StealOntoWorker1(store).empty());
   EXPECT_EQ(store.QueueSize(0), 1u);  // Only L(3) remains.
+}
+
+// Naive Fig. 3 reference: [begin, end) of the stealable group in `queue`,
+// scanning [current work, queue...] with no screening; begin == end when
+// nothing is stealable.
+std::pair<size_t, size_t> ReferenceGroup(const std::vector<QueueEntry>& queue,
+                                         bool occupied_long) {
+  bool seen_long = occupied_long;
+  for (size_t k = 0; k < queue.size(); ++k) {
+    if (queue[k].is_long) {
+      seen_long = true;
+    } else if (seen_long) {
+      size_t end = k;
+      while (end < queue.size() && !queue[end].is_long) {
+        ++end;
+      }
+      return {k, end};
+    }
+  }
+  return {queue.size(), queue.size()};
+}
+
+std::vector<QueueEntry> QueueOf(const WorkerStore& store, WorkerId id) {
+  std::vector<QueueEntry> out;
+  for (size_t i = 0; i < store.QueueSize(id); ++i) {
+    out.push_back(store.QueueAt(id, i));
+  }
+  return out;
+}
+
+size_t CountLong(const std::vector<QueueEntry>& queue) {
+  size_t n = 0;
+  for (const QueueEntry& e : queue) {
+    n += e.is_long ? 1 : 0;
+  }
+  return n;
+}
+
+void ExpectSameEntries(const std::vector<QueueEntry>& got, const std::vector<QueueEntry>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].job, want[i].job) << "position " << i;
+    EXPECT_EQ(got[i].kind, want[i].kind) << "position " << i;
+    EXPECT_EQ(got[i].is_long, want[i].is_long) << "position " << i;
+  }
+}
+
+TEST(StealScanTest, RandomStatesMatchTheReferenceScan) {
+  // Seeded random victims: 1-4 slots, each free or occupied by long/short
+  // execution or a long/short request; a queue of 0-12 long/short probes
+  // and tasks whose ring head sits at a random offset, so entries (and
+  // stolen groups) straddle the storage end. Steals repeat until nothing is
+  // left to take; each must move exactly the reference group.
+  Rng rng(26);
+  size_t states_with_group = 0;
+  for (int state = 0; state < 4000; ++state) {
+    SlotSpec spec;
+    spec.slots_per_worker = static_cast<uint32_t>(rng.UniformInt(1, 4));
+    WorkerStore store(2, spec);
+    const WorkerId victim = 0;
+    const WorkerId thief = 1;
+    JobId next_job = 1;
+    auto random_entry = [&]() {
+      const bool is_long = rng.Bernoulli(0.4);
+      return rng.Bernoulli(0.5) ? QueueEntry::Probe(next_job++, is_long)
+                                : QueueEntry::Task(next_job++, 0, 10, is_long);
+    };
+    // Rotate the ring head (the first 9 pushes also grow it to 16 slots).
+    const int64_t rotate = rng.UniformInt(0, 15);
+    for (int64_t i = 0; i < rotate; ++i) {
+      store.Enqueue(victim, ShortProbe(0));
+    }
+    for (int64_t i = 0; i < rotate; ++i) {
+      store.PopFront(victim);
+    }
+    bool occupied_long = false;
+    for (uint32_t slot = 0; slot < spec.slots_per_worker; ++slot) {
+      const int64_t use = rng.UniformInt(0, 4);  // 0 = free.
+      const bool is_long = use % 2 == 1;
+      if (use == 1 || use == 2) {
+        store.BeginExecute(victim, 0, QueueEntry::Task(next_job++, 0, 10, is_long));
+      } else if (use >= 3) {
+        store.BeginRequest(victim, is_long);
+      }
+      occupied_long = occupied_long || (use != 0 && is_long);
+    }
+    ASSERT_EQ(store.AnyOccupiedLong(victim), occupied_long);
+    std::vector<QueueEntry> model;
+    for (int64_t i = rng.UniformInt(0, 12); i > 0; --i) {
+      model.push_back(random_entry());
+      store.Enqueue(victim, model.back());
+    }
+    for (int64_t i = rng.UniformInt(0, 3); i > 0; --i) {
+      store.Enqueue(thief, random_entry());
+    }
+    bool any_group = false;
+    while (true) {
+      const auto [begin, end] = ReferenceGroup(model, occupied_long);
+      ASSERT_EQ(store.HasStealableGroup(victim), begin < end) << "state " << state;
+      const std::vector<QueueEntry> thief_before = QueueOf(store, thief);
+      const size_t moved = store.StealGroupInto(victim, thief);
+      ASSERT_EQ(moved, end - begin) << "state " << state;
+      // The thief gained exactly the group, in order, behind its own queue.
+      std::vector<QueueEntry> thief_want = thief_before;
+      thief_want.insert(thief_want.end(), model.begin() + static_cast<std::ptrdiff_t>(begin),
+                        model.begin() + static_cast<std::ptrdiff_t>(end));
+      ExpectSameEntries(QueueOf(store, thief), thief_want);
+      // The victim kept everything else, and its composition recounts.
+      model.erase(model.begin() + static_cast<std::ptrdiff_t>(begin),
+                  model.begin() + static_cast<std::ptrdiff_t>(end));
+      ASSERT_EQ(store.QueueSize(victim), model.size());
+      const std::vector<QueueEntry> left = QueueOf(store, victim);
+      ExpectSameEntries(left, model);
+      EXPECT_EQ(CountLong(left), CountLong(model));
+      if (moved == 0) {
+        break;
+      }
+      any_group = true;
+    }
+    states_with_group += any_group ? 1 : 0;
+    // The counters survive the moves: the queues drain in FIFO order.
+    for (const QueueEntry& want : model) {
+      EXPECT_EQ(store.PopFront(victim).job, want.job);
+    }
+    EXPECT_TRUE(store.QueueEmpty(victim));
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(states_with_group, 400u);
+  EXPECT_LT(states_with_group, 3600u);
 }
 
 // --- Cluster ----------------------------------------------------------------

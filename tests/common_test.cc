@@ -1,14 +1,16 @@
 // Unit tests for src/common: RNG determinism and distribution sanity,
-// sample/percentile math, flag parsing, status propagation.
+// sample/percentile math, flag parsing, status propagation, the ring buffer.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <deque>
 #include <set>
 
 #include "src/common/flags.h"
 #include "src/common/histogram.h"
 #include "src/common/random.h"
+#include "src/common/ring_buffer.h"
 #include "src/common/status.h"
 #include "src/common/types.h"
 
@@ -305,6 +307,93 @@ TEST(StatusOrTest, HoldsValueOrError) {
   StatusOr<int> e(Status::Error("nope"));
   EXPECT_FALSE(e.ok());
   EXPECT_EQ(e.status().message(), "nope");
+}
+
+// --- RingBuffer ----------------------------------------------------------------
+
+std::vector<int> Contents(const RingBuffer<int>& ring) {
+  std::vector<int> out;
+  for (size_t i = 0; i < ring.Size(); ++i) {
+    out.push_back(ring.At(i));
+  }
+  return out;
+}
+
+// A ring of `size` entries 0..size-1 whose head sits at physical slot `head`
+// of a capacity-16 buffer (12 pushes grow it to 16; pops then push it round).
+RingBuffer<int> WrappedRing(size_t head, size_t size) {
+  RingBuffer<int> ring;
+  for (int i = 0; i < 12; ++i) {
+    ring.PushBack(-1);
+  }
+  for (int i = 0; i < 12; ++i) {
+    ring.PopFront();
+  }
+  // The head is now at slot 12; rotate it to `head`.
+  for (size_t i = 0; i < (head + 16 - 12) % 16; ++i) {
+    ring.PushBack(-1);
+    ring.PopFront();
+  }
+  for (size_t i = 0; i < size; ++i) {
+    ring.PushBack(static_cast<int>(i));
+  }
+  return ring;
+}
+
+TEST(RingBufferTest, GrowsAcrossWraparound) {
+  // Fill a capacity-8 ring that has wrapped, then keep pushing so every
+  // doubling happens with the live entries split across the storage end.
+  RingBuffer<int> ring;
+  std::deque<int> model;
+  for (int i = 0; i < 5; ++i) {
+    ring.PushBack(-1);
+    ring.PopFront();
+  }
+  int next = 0;
+  for (int round = 0; round < 200; ++round) {
+    ring.PushBack(next);
+    model.push_back(next++);
+    ring.PushBack(next);
+    model.push_back(next++);
+    if (round % 3 == 0) {
+      EXPECT_EQ(ring.PopFront(), model.front());
+      model.pop_front();
+    }
+    ASSERT_EQ(ring.Size(), model.size());
+    EXPECT_EQ(ring.Front(), model.front());
+    EXPECT_EQ(ring.Back(), model.back());
+  }
+  EXPECT_EQ(Contents(ring), std::vector<int>(model.begin(), model.end()));
+  while (!ring.Empty()) {
+    EXPECT_EQ(ring.PopFront(), model.front());
+    model.pop_front();
+  }
+  EXPECT_TRUE(model.empty());
+}
+
+TEST(RingBufferTest, EraseRangeOnBothSidesOfTheGap) {
+  // Every [begin, end) of a wrapped 12-entry ring, for head positions that
+  // put the storage end before, inside and after the erased range; shorter
+  // head sides shift right, shorter tail sides shift left.
+  for (size_t head : {0u, 6u, 9u, 13u}) {
+    for (size_t begin = 0; begin <= 12; ++begin) {
+      for (size_t end = begin; end <= 12; ++end) {
+        RingBuffer<int> ring = WrappedRing(head, 12);
+        std::vector<int> model = Contents(ring);
+        ring.EraseRange(begin, end);
+        model.erase(model.begin() + static_cast<std::ptrdiff_t>(begin),
+                    model.begin() + static_cast<std::ptrdiff_t>(end));
+        ASSERT_EQ(Contents(ring), model) << "head " << head << " erase [" << begin << ", "
+                                         << end << ")";
+        // Head and size stay consistent: the ring keeps working as a FIFO.
+        ring.PushBack(100);
+        model.push_back(100);
+        EXPECT_EQ(ring.PopFront(), model.front());
+        model.erase(model.begin());
+        EXPECT_EQ(Contents(ring), model);
+      }
+    }
+  }
 }
 
 }  // namespace
