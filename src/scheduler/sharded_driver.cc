@@ -56,10 +56,14 @@ inline void CpuRelax() {
 #endif
 }
 
-// Spin budget before parking on a condvar. Small on purpose: a miss costs
-// one condvar round-trip, while a long spin on an oversubscribed machine
-// burns the very core the awaited phase needs.
-constexpr int kSpinIters = 2048;
+// Spin budget before parking on a condvar, in pauses (about 1.4 ms at the
+// 21 ns per pause measured on a 4-vCPU Xeon VM). It must outlast the usual
+// gap between pooled epochs: on a VM, waking a parked thread takes a futex
+// call and an inter-processor interrupt, and under host load that costs far
+// more than a phase. With a 2048-pause budget, `sharded-1m` parked ~50k
+// times per call and ran at half speed whenever the host was busy. A pool
+// that oversubscribes the machine does not spin at all (see Run).
+constexpr int kSpinIters = 1 << 16;
 
 // Shard boundaries are rounded to this many workers when shards are at least
 // 128x that size. Worker records are one cache line each, so any boundary
@@ -113,8 +117,6 @@ ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkC
     shards_[s].begin = shard_begin_[s];
     shards_[s].end = s + 1 < num_shards ? shard_begin_[s + 1] : config.num_workers;
   }
-  ready_ = std::vector<ReadyFlag>(num_shards);
-  merge_taken_.assign(num_shards, 0);
   if (stragglers_on_) {
     // Substream salt derived like the fault stream (re-rolled by fault_seed,
     // pinned by seed) but from a distinct constant, so straggler draws are
@@ -147,7 +149,6 @@ RunResult ShardedSimulationDriver::Run() {
   const uint32_t pool = std::min(static_cast<uint32_t>(shards_.size()),
                                  std::max<uint32_t>(1, want));
   if (pool > 1) {
-    pool_size_ = pool;
     // Spinning only pays when every waiter owns a core; once pool + the
     // coordinator oversubscribe the machine, a spinning thread is burning
     // exactly the core the awaited phase (or merge) needs, so park
@@ -159,6 +160,14 @@ RunResult ShardedSimulationDriver::Run() {
       threads_.emplace_back([this] { WorkerLoop(); });
     }
   }
+  // A phase goes to the pool only when it has a busy shard for every thread
+  // that would take part, the coordinator included. With fewer, the hand-off
+  // (waking parked threads, moving shard queues and worker lines to other
+  // cores and back for the barrier) costs more than the overlap gains: on a
+  // 1M-worker cluster most epochs hold a single event. Timing-only, like the
+  // thread count.
+  const size_t pool_min_busy =
+      threads_.empty() ? shards_.size() + 1 : std::min(shards_.size(), threads_.size() + 1);
 
   while (true) {
     // Global next time: minimum over the arrival cursor, the coordinator
@@ -215,14 +224,25 @@ RunResult ShardedSimulationDriver::Run() {
     // waking the pool. Checked after the barrier because barrier grants
     // (StartExecution) can push completions due inside this very window;
     // deliveries cannot (their due is >= now + net_delay >= window end).
-    const bool shard_work =
-        std::any_of(shards_.begin(), shards_.end(), [t_end](const Shard& shard) {
+    const auto busy_shards = static_cast<size_t>(
+        std::count_if(shards_.begin(), shards_.end(), [t_end](const Shard& shard) {
           return !shard.queue.Empty() && shard.queue.PeekTime() < t_end;
-        });
-    if (!shard_work) {
+        }));
+    if (busy_shards == 0) {
       continue;
     }
-    RunPhases(t_end);
+    if (busy_shards >= pool_min_busy) {
+      RunPhases(t_end);
+      // The barrier replay needs exclusive ownership of worker and queue
+      // state again, and the outboxes are only complete once every shard is
+      // done.
+      AwaitShardsDone();
+    } else {
+      // Empty shards only reset their outboxes.
+      for (uint32_t s = 0; s < shards_.size(); ++s) {
+        RunOneShard(s, t_end);
+      }
+    }
     MergeOutboxes();
   }
   StopPool();
@@ -261,44 +281,11 @@ void ShardedSimulationDriver::MergeRun(const std::vector<OutRecord>& run) {
 }
 
 void ShardedSimulationDriver::MergeOutboxes() {
-  // Stage one of the pipeline: fold each shard's sorted outbox into the
-  // accumulated run the moment its ready flag appears, so the coordinator's
-  // merge overlaps with phases still draining on the pool. The merge result
-  // is order-independent (see RecordLess), so taking runs in completion
-  // order is still deterministic.
-  const auto num_shards = static_cast<uint32_t>(shards_.size());
+  // The merge result is order-independent (see RecordLess).
   merge_acc_.clear();
-  std::fill(merge_taken_.begin(), merge_taken_.end(), 0);
-  uint32_t merged = 0;
-  int spins = 0;
-  bool pool_drained = threads_.empty();
-  while (merged < num_shards) {
-    bool progressed = false;
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      if (merge_taken_[s] == 0 && ready_[s].v.load(std::memory_order_acquire) != 0) {
-        MergeRun(shards_[s].outbox);
-        merge_taken_[s] = 1;
-        ++merged;
-        progressed = true;
-      }
-    }
-    if (merged == num_shards || progressed) {
-      spins = 0;
-      continue;
-    }
-    if (++spins > spin_iters_ && !pool_drained) {
-      // Stop burning a core: park until the whole epoch retires (every shard
-      // is ready once all threads are done), then sweep up the stragglers.
-      AwaitPhasesDone();
-      pool_drained = true;
-      continue;
-    }
-    CpuRelax();
+  for (const Shard& shard : shards_) {
+    MergeRun(shard.outbox);
   }
-  // Stage two: the barrier replay needs exclusive ownership of worker and
-  // queue state again, so wait for every pool thread to retire before
-  // returning to the coordinator loop.
-  AwaitPhasesDone();
   for (const OutRecord& rec : merge_acc_) {
     pending_.Push(rec.due, rec.event);
   }
@@ -465,32 +452,45 @@ bool ShardedSimulationDriver::StragglerDraw(WorkerId worker) {
 void ShardedSimulationDriver::RunOneShard(uint32_t s, SimTime t_end) {
   Shard& shard = shards_[s];
   // Outbox arena reset: the coordinator finished merging last epoch's records
-  // strictly before this generation was published, so clearing here (capacity
+  // strictly before this epoch was published, so clearing here (capacity
   // retained) moves the reset off the coordinator's critical path.
   shard.outbox.clear();
   RunShardPhase(shard, t_end);
   std::stable_sort(shard.outbox.begin(), shard.outbox.end(), RecordLess);
-  ready_[s].v.store(1, std::memory_order_release);
+}
+
+uint32_t ShardedSimulationDriver::RunClaimedShards() {
+  for (;;) {
+    // Acquire: every claim reads the coordinator's publishing store or an
+    // increment after it, so phase_end_ and the reset done count are
+    // visible. A claimed shard keeps its epoch open, so phase_end_ cannot
+    // change under the reader.
+    const uint64_t claim = claim_.v.fetch_add(1, std::memory_order_acquire);
+    const auto s = static_cast<uint32_t>(claim);
+    if (s >= shards_.size()) {
+      return static_cast<uint32_t>(claim >> 32);
+    }
+    RunOneShard(s, phase_end_);
+    // Release: the shard's state and sorted outbox are complete before the
+    // coordinator's acquire of the final count. The last shard done wakes a
+    // parked coordinator.
+    if (shards_done_.v.fetch_add(1, std::memory_order_acq_rel) + 1 == shards_.size()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (coord_parked_) {
+        cv_done_.notify_one();
+      }
+    }
+  }
 }
 
 void ShardedSimulationDriver::RunPhases(SimTime t_end) {
-  const auto num_shards = static_cast<uint32_t>(shards_.size());
-  if (threads_.empty()) {
-    for (uint32_t s = 0; s < num_shards; ++s) {
-      RunOneShard(s, t_end);
-    }
-    return;
-  }
-  // Epoch reset, then the generation bump (release) that publishes it. No
-  // pool thread is running here: MergeOutboxes waited for threads_done_
-  // before the previous barrier.
-  for (ReadyFlag& flag : ready_) {
-    flag.v.store(0, std::memory_order_relaxed);
-  }
-  threads_done_.v.store(0, std::memory_order_relaxed);
+  // Epoch reset, then the store (release) that publishes the new epoch with
+  // its shard cursor at 0. No shard is running here: the previous pooled
+  // epoch ended in AwaitShardsDone, and other phases run on this thread.
+  shards_done_.v.store(0, std::memory_order_relaxed);
   phase_end_ = t_end;
-  next_shard_.v.store(0, std::memory_order_relaxed);
-  generation_.v.fetch_add(1, std::memory_order_release);
+  ++epoch_;
+  claim_.v.store(static_cast<uint64_t>(epoch_) << 32, std::memory_order_release);
   uint32_t sleeping = 0;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -499,70 +499,52 @@ void ShardedSimulationDriver::RunPhases(SimTime t_end) {
   if (sleeping > 0) {
     cv_start_.notify_all();
   }
+  // The coordinator claims shards too, so the epoch never waits for a pool
+  // thread to be woken or scheduled: a thread that is late finds every
+  // shard taken and goes back to waiting.
+  RunClaimedShards();
 }
 
-void ShardedSimulationDriver::AwaitPhasesDone() {
-  if (threads_.empty()) {
-    return;
-  }
-  for (int i = 0; i < spin_iters_; ++i) {
-    if (threads_done_.v.load(std::memory_order_acquire) == pool_size_) {
-      return;
-    }
+void ShardedSimulationDriver::AwaitShardsDone() {
+  const auto done = [this] {
+    return shards_done_.v.load(std::memory_order_acquire) == shards_.size();
+  };
+  for (int i = 0; i < spin_iters_ && !done(); ++i) {
     CpuRelax();
+  }
+  if (done()) {
+    return;
   }
   std::unique_lock<std::mutex> lock(mu_);
   coord_parked_ = true;
-  cv_done_.wait(lock, [this] {
-    return threads_done_.v.load(std::memory_order_acquire) == pool_size_;
-  });
+  cv_done_.wait(lock, done);
   coord_parked_ = false;
 }
 
 void ShardedSimulationDriver::WorkerLoop() {
-  uint64_t seen = 0;
+  uint32_t seen = 0;  // Epoch 0 is never published.
+  const auto published = [this, &seen] {
+    return stop_.load(std::memory_order_relaxed) ||
+           static_cast<uint32_t>(claim_.v.load(std::memory_order_relaxed) >> 32) != seen;
+  };
   for (;;) {
-    // Await the next generation: spin briefly, then park on cv_start_.
-    bool advanced = false;
-    for (int i = 0; i < spin_iters_; ++i) {
-      if (stop_.load(std::memory_order_acquire)) {
-        return;
-      }
-      if (generation_.v.load(std::memory_order_acquire) != seen) {
-        advanced = true;
-        break;
-      }
+    // Await the next epoch: spin, then park on cv_start_. The claims
+    // below acquire, so these loads need not.
+    for (int i = 0; i < spin_iters_ && !published(); ++i) {
       CpuRelax();
     }
-    if (!advanced) {
+    if (!published()) {
       std::unique_lock<std::mutex> lock(mu_);
       ++sleepers_;
-      // Acquire: the predicate can see the bump before the coordinator takes
-      // mu_, so the mutex alone does not order phase_end_ before the read.
-      cv_start_.wait(lock, [this, seen] {
-        return stop_.load(std::memory_order_relaxed) ||
-               generation_.v.load(std::memory_order_acquire) != seen;
-      });
+      cv_start_.wait(lock, published);
       --sleepers_;
-      if (stop_.load(std::memory_order_relaxed)) {
-        return;
-      }
     }
-    ++seen;
-    const SimTime t_end = phase_end_;  // Published before the generation bump.
-    const auto num_shards = static_cast<uint32_t>(shards_.size());
-    for (uint32_t s = next_shard_.v.fetch_add(1, std::memory_order_relaxed); s < num_shards;
-         s = next_shard_.v.fetch_add(1, std::memory_order_relaxed)) {
-      RunOneShard(s, t_end);
+    if (stop_.load(std::memory_order_relaxed)) {
+      return;
     }
-    // Retire: the release edge pairs with the coordinator's acquire in
-    // AwaitPhasesDone; the last thread wakes a parked coordinator.
-    if (threads_done_.v.fetch_add(1, std::memory_order_release) + 1 == pool_size_) {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (coord_parked_) {
-        cv_done_.notify_one();
-      }
-    }
+    // Claims from whichever epoch is current by now; the last (failed)
+    // claim names the epoch this thread is done with.
+    seen = RunClaimedShards();
   }
 }
 
@@ -579,7 +561,6 @@ void ShardedSimulationDriver::StopPool() {
     thread.join();
   }
   threads_.clear();
-  pool_size_ = 0;
   stop_.store(false, std::memory_order_relaxed);
 }
 

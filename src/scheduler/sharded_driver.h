@@ -21,15 +21,15 @@
 //      window end, touching only worker-local state (queues, slots, busy
 //      accounting, its own counters), appending cross-worker effects to a
 //      per-shard outbox, and finishing with a local stable sort of that
-//      outbox by (due time, worker) — the shard's own post-work, off the
-//      coordinator's critical path.
-//   4. Merge (pipelined): as each shard publishes its sorted outbox, the
-//      coordinator folds it into an accumulated sorted run with a two-way
-//      merge — overlapping merge work with still-running phases — and pushes
-//      the final run into its pending queue for the next barrier. Each worker
-//      lives in exactly one shard, so (due, worker) ties never cross runs and
-//      the merged order is a pure function of the records: independent of
-//      thread interleaving, shard count, and merge arrival order.
+//      outbox by (due time, worker). The pool threads and the coordinator
+//      itself claim shards. A phase with fewer busy shards than threads runs
+//      on the coordinator alone: its hand-off would cost more than it saves.
+//   4. Merge: once every shard is done, the coordinator folds the sorted
+//      outboxes into one run with two-way merges and pushes it into its
+//      pending queue for the next barrier. Each worker lives in exactly one
+//      shard, so (due, worker) ties never cross runs and the merged order is
+//      a pure function of the records: independent of thread interleaving,
+//      shard count, and merge order.
 //
 // Epochs whose window holds no shard-side event skip steps 3–4 entirely
 // (epoch coalescing): the coordinator advances horizon after horizon without
@@ -40,12 +40,14 @@
 // (driver_core.h), shared with the serial driver; this file adds the epochs,
 // the phases, the outbox merge and the pool.
 //
-// The phase pool is persistent and lock-light: workers spin briefly on an
-// epoch generation counter before parking on a condvar, claim shards off a
-// shared atomic cursor, and publish per-shard ready flags (merge gate) plus a
-// pool-wide done counter (barrier-replay gate). Per-epoch allocations are
-// pooled — outboxes, merge runs and fault-path scratch keep their capacity
-// across epochs — and every spun-on control word sits on its own cache line.
+// The phase pool is persistent and lock-light: threads spin on the epoch's
+// claim word (long enough to bridge the usual gap between pooled epochs)
+// before parking on a condvar, claim shards off it, and
+// count finished shards (the barrier-replay gate). The gate counts shards,
+// not threads, so an epoch never waits for a thread that claimed nothing.
+// Per-epoch allocations are pooled — outboxes, merge runs and fault-path
+// scratch keep their capacity across epochs — and every spun-on control word
+// sits on its own cache line.
 //
 // Determinism contract: for a fixed config (including sim_shards > 1) the
 // RunResult is bit-identical across sim_threads values, and identical across
@@ -108,8 +110,8 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
   // additionally line-aligned so the shard's queue heads (heap front, lane
   // cursors) never share a line with the topology fields the coordinator
   // reads. The outbox is an arena: cleared (capacity retained) by the owning
-  // phase at claim time, read by the coordinator's merge after the shard's
-  // ready flag, never reallocated per epoch once warm.
+  // phase at claim time, read by the coordinator's merge once every shard
+  // is done, never reallocated per epoch once warm.
   struct alignas(64) Shard {
     WorkerId begin = 0;
     WorkerId end = 0;
@@ -119,12 +121,6 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
     uint64_t deliveries_consumed = 0;  // Feeds the in-flight delivery count.
   };
 
-  // One-per-shard ready flag, line-isolated: the coordinator spins on these
-  // while phase threads are writing their shards' hot state, so a flag must
-  // not share a line with anything else.
-  struct alignas(64) ReadyFlag {
-    std::atomic<uint32_t> v{0};
-  };
   // Line-isolated pool control words (each spun on from one side of the
   // coordinator/phase handoff while the other side works).
   struct alignas(64) PaddedAtomicU32 {
@@ -138,9 +134,7 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
 
   // --- coordinator (barrier) side ------------------------------------------
   void Commit(const CoordEvent& event);
-  // Folds every shard's sorted outbox into pending_, two-way merging runs as
-  // their ready flags appear (overlapping with late phases), then waits for
-  // the pool's done counter so the next barrier owns all state again.
+  // Folds every shard's sorted outbox into pending_.
   void MergeOutboxes();
   void MergeRun(const std::vector<OutRecord>& run);
   static bool RecordLess(const OutRecord& a, const OutRecord& b);
@@ -193,11 +187,16 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
   uint32_t ShardOfWorker(WorkerId worker) const;
   // Runs one shard's phase end to end: outbox reset, drain, local sort.
   void RunOneShard(uint32_t s, SimTime t_end);
-  // Publishes t_end and bumps the epoch generation (inline execution when the
-  // pool is empty). Returns immediately; MergeOutboxes consumes the results.
+  // Claims and runs shards of the current epoch until none is left, counting
+  // each in shards_done_; returns the epoch of the last claim.
+  uint32_t RunClaimedShards();
+  // Publishes a new epoch ending at t_end to the pool, wakes parked pool
+  // threads and runs the shards no pool thread claims first. Shards claimed
+  // by the pool may still be running on return; AwaitShardsDone waits for
+  // them.
   void RunPhases(SimTime t_end);
-  // Blocks until every pool thread has retired from the current epoch.
-  void AwaitPhasesDone();
+  // Blocks until every shard of the current epoch is done.
+  void AwaitShardsDone();
   void WorkerLoop();
   void StopPool();
 
@@ -210,7 +209,6 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
   // Pooled merge state (coordinator-owned; capacity retained across epochs).
   std::vector<OutRecord> merge_acc_;
   std::vector<OutRecord> merge_tmp_;
-  std::vector<uint8_t> merge_taken_;
   std::vector<Shard> shards_;
   std::vector<WorkerId> shard_begin_;  // shard_begin_[s] = first worker of s.
 
@@ -218,19 +216,21 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
   uint64_t straggler_salt_ = 0;
   std::vector<uint64_t> straggler_seq_;
 
-  // Persistent phase pool. An epoch starts when the coordinator bumps
-  // `generation_` (workers spin briefly on it, then park on cv_start_);
-  // `phase_end_` is published before the bump and read after the acquire.
-  // Workers claim shards off `next_shard_`, publish per-shard `ready_` flags
-  // with release stores (the coordinator's merge gate) and retire through
-  // `threads_done_` (the barrier-replay gate; the last worker wakes a parked
-  // coordinator through cv_done_). Every spun-on word is line-isolated.
+  // Persistent phase pool. An epoch starts when the coordinator stores
+  // (epoch << 32) into `claim_` (pool threads spin on it, then park on
+  // cv_start_); `phase_end_` is written before that store and read after
+  // a claim's acquire. Every thread, the coordinator included, claims shards
+  // by incrementing the low half, and counts each finished shard in
+  // `shards_done_` (the barrier-replay gate; the last shard wakes a parked
+  // coordinator through cv_done_). A thread that sees an epoch late claims
+  // from whichever epoch is current, so no epoch depends on any one thread.
+  // Every spun-on word is line-isolated.
   std::vector<std::thread> threads_;
-  uint32_t pool_size_ = 0;
-  // Pre-park spin budget for every waiter (workers awaiting a generation,
-  // the coordinator awaiting runs/retirement). Zero when pool + coordinator
-  // oversubscribe the hardware: a spinning waiter would hold the very core
-  // the awaited work needs. Timing-only — never observable in the bits.
+  // Pre-park spin budget for every waiter (pool threads awaiting an epoch,
+  // the coordinator awaiting the shards the pool claimed). Zero when pool +
+  // coordinator oversubscribe the hardware: a spinning waiter would hold the
+  // very core the awaited work needs. Timing-only — never observable in the
+  // bits.
   int spin_iters_ = 0;
   std::mutex mu_;
   std::condition_variable cv_start_;
@@ -239,10 +239,9 @@ class ShardedSimulationDriver : public DriverCore<ShardedSimulationDriver> {
   bool coord_parked_ = false;    // Guarded by mu_.
   std::atomic<bool> stop_{false};
   SimTime phase_end_ = 0;
-  PaddedAtomicU64 generation_;
-  PaddedAtomicU32 next_shard_;
-  PaddedAtomicU32 threads_done_;
-  std::vector<ReadyFlag> ready_;  // One per shard.
+  uint32_t epoch_ = 0;  // Coordinator-owned; the last epoch published.
+  PaddedAtomicU64 claim_;
+  PaddedAtomicU32 shards_done_;
 };
 
 }  // namespace hawk
