@@ -1,8 +1,8 @@
 // google-benchmark microbenchmarks for the hot data structures: the event
 // queue, the centralized waiting-time queue, the steal-group scan, steal
-// victim sampling plus screening over a large cluster, and trace generation
-// throughput. These bound the simulator's events/second and the per-decision
-// cost a production scheduler would pay.
+// victim sampling plus screening over a large cluster, sampling without
+// replacement, and trace generation throughput. These bound the simulator's
+// events/second and the per-decision cost a production scheduler would pay.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -119,6 +119,25 @@ void BM_StealVictimScreen(benchmark::State& state) {
       static_cast<double>(found) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_StealVictimScreen)->Arg(1500)->Arg(1'000'000);
+
+// One buffer-reusing Rng::SampleWithoutReplacement call per iteration, in
+// each of its three membership regimes: (50, 50) dense Fisher-Yates, (1245,
+// 10) Floyd with a linear scan (a steal attempt's victims on google-15k's
+// general partition), (1M, 35) Floyd with epoch stamps (a probe batch on a
+// 1M-worker cluster).
+void BM_SampleWithoutReplacement(benchmark::State& state) {
+  const auto n = static_cast<uint32_t>(state.range(0));
+  const auto k = static_cast<uint32_t>(state.range(1));
+  hawk::Rng rng(5);
+  std::vector<uint32_t> sample;
+  for (auto _ : state) {
+    rng.SampleWithoutReplacement(n, k, &sample);
+    benchmark::DoNotOptimize(sample.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * k);
+}
+BENCHMARK(BM_SampleWithoutReplacement)->Args({50, 50})->Args({1245, 10})->Args({1'000'000, 35});
 
 void BM_GoogleTraceGeneration(benchmark::State& state) {
   hawk::GoogleTraceParams params;

@@ -46,11 +46,13 @@ double Rng::NextDouble() {
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   HAWK_CHECK_GT(bound, 0u);
-  // Rejection sampling over the largest multiple of `bound`.
-  const uint64_t threshold = (0 - bound) % bound;
+  // Rejection sampling over the largest multiple of `bound`: draws below
+  // threshold = 2^64 mod bound are rejected. The threshold is below `bound`,
+  // so any draw >= bound is accepted without computing it; its division
+  // runs only for the rare small draw. Same draws as always testing it.
   while (true) {
     const uint64_t r = Next();
-    if (r >= threshold) {
+    if (r >= bound || r >= (0 - bound) % bound) {
       return r % bound;
     }
   }

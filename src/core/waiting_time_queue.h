@@ -40,8 +40,6 @@ class WaitingTimeQueue {
     backlog_.assign(num_workers, 0);
     exec_drain_.assign(num_workers, 0);
     executing_.assign(num_workers, 0);
-    key_.assign(num_workers, 0);
-    key_executing_bit_.assign(num_workers, 0);
     heap_.reserve(num_workers);
     pos_.resize(num_workers);
     // All keys are equal (zero drain, idle), so ascending worker order is
@@ -72,7 +70,7 @@ class WaitingTimeQueue {
         break;
       }
       const SimTime fresh = std::max(now, exec_drain_[head]) + backlog_[head];
-      if (fresh == key_[head]) {
+      if (fresh == heap_.front().drain) {
         break;
       }
       Reindex(head, now);
@@ -141,11 +139,14 @@ class WaitingTimeQueue {
   // is one allocation-free sift, and sift comparisons walk contiguous
   // memory. The comparator defines a total order, so the minimum — and thus
   // every assignment — is identical to what an ordered set would produce.
+  // The heap entry is the only stored copy of a worker's key; AssignTask's
+  // freshness test reads it at the front. Per tracked lane the queue holds
+  // 37 bytes: the 16-byte Key, its 4-byte slot, backlog, drain and the
+  // executing flag.
   void Reindex(WorkerId worker, SimTime now) {
-    key_[worker] = std::max(now, exec_drain_[worker]) + backlog_[worker];
-    key_executing_bit_[worker] = executing_[worker];
     const size_t i = pos_[worker];
-    heap_[i] = Key{key_[worker], key_executing_bit_[worker], worker};
+    heap_[i] = Key{std::max(now, exec_drain_[worker]) + backlog_[worker], executing_[worker],
+                   worker};
     SiftUp(i);
     SiftDown(pos_[worker]);
   }
@@ -196,8 +197,6 @@ class WaitingTimeQueue {
 
   std::vector<Key> heap_;
   std::vector<uint32_t> pos_;  // worker -> heap slot
-  std::vector<SimTime> key_;
-  std::vector<uint8_t> key_executing_bit_;  // Executing flag as stored in the key.
   std::vector<DurationUs> backlog_;
   std::vector<SimTime> exec_drain_;
   std::vector<uint8_t> executing_;

@@ -33,9 +33,16 @@ class Writer {
   const std::vector<uint8_t>& buffer() const { return buf_; }
 
  private:
+  // Grows the buffer, then copies into the new tail. (A range insert here,
+  // inlined into the message encoders, trips GCC 12's -Wstringop-overflow
+  // in Release builds.)
   void WriteRaw(const void* data, size_t size) {
-    const auto* bytes = static_cast<const uint8_t*>(data);
-    buf_.insert(buf_.end(), bytes, bytes + size);
+    if (size == 0) {
+      return;
+    }
+    const size_t offset = buf_.size();
+    buf_.resize(offset + size);
+    std::memcpy(buf_.data() + offset, data, size);
   }
 
   std::vector<uint8_t> buf_;

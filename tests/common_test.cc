@@ -163,6 +163,81 @@ TEST(RngTest, ForkStreamsAreIndependentAndDeterministic) {
   }
 }
 
+TEST(RngTest, BoundedDrawsArePinned) {
+  // Exact outputs, recorded before NextBounded learned to skip its
+  // rejection-threshold division: any change to the accepted draws (not
+  // just their distribution) shows up here. Per bound: the first four of 64
+  // draws from seed 7, an FNV-1a digest of all 64 (little-endian bytes), and
+  // the next raw output, which pins how many draws were rejected. 2^63 + 1
+  // rejects about half its draws; 2^64 - 1 sends nearly every draw down the
+  // branch that computes the threshold.
+  struct Pinned {
+    uint64_t bound;
+    uint64_t first[4];
+    uint64_t digest;
+    uint64_t next_raw;
+  };
+  const Pinned pinned[] = {
+      {1u, {0u, 0u, 0u, 0u}, 0x7da144b97d054b25u, 12320641863159184273u},
+      {3u, {2u, 2u, 2u, 0u}, 0x808eb65947e89f07u, 12320641863159184273u},
+      {1245u, {341u, 701u, 263u, 156u}, 0x4e47fd650873f04au, 12320641863159184273u},
+      {4294967295u,
+       {953854781u, 643720946u, 1753704998u, 3497369766u},
+       0x41f118596d63327bu,
+       12320641863159184273u},
+      {4294967297u,
+       {478312253u, 3460224311u, 4179707584u, 4122632659u},
+       0xabf5b4887746cd05u,
+       12320641863159184273u},
+      {9223372036854775809u,
+       {4013571156380768369u, 8553008537481577333u, 4130356882116092799u,
+        8897282507865326556u},
+       0xad6fb4dbdda70795u,
+       18365605444440442172u},
+      {18446744073709551615u,
+       {1021219803524665661u, 3174977118032272916u, 13236943193235544178u,
+        7880630202246103356u},
+       0xe039b389497a36c5u,
+       12320641863159184273u},
+  };
+  for (const Pinned& p : pinned) {
+    Rng rng(7);
+    uint64_t digest = 14695981039346656037u;
+    for (int i = 0; i < 64; ++i) {
+      const uint64_t v = rng.NextBounded(p.bound);
+      ASSERT_LT(v, p.bound);
+      if (i < 4) {
+        EXPECT_EQ(v, p.first[i]) << "bound " << p.bound << " draw " << i;
+      }
+      for (int shift = 0; shift < 64; shift += 8) {
+        digest = (digest ^ ((v >> shift) & 0xffu)) * 1099511628211u;
+      }
+    }
+    EXPECT_EQ(digest, p.digest) << "bound " << p.bound;
+    EXPECT_EQ(rng.Next(), p.next_raw) << "bound " << p.bound;
+  }
+
+  // One sample per membership structure, drawn in sequence from one
+  // stream: dense Fisher-Yates, Floyd with a linear scan, Floyd with stamps.
+  Rng rng(11);
+  std::vector<uint32_t> sample;
+  rng.SampleWithoutReplacement(50, 50, &sample);
+  EXPECT_EQ(sample, (std::vector<uint32_t>{
+                        22, 21, 43, 37, 36, 2,  14, 3,  44, 38, 46, 13, 24, 15, 18, 47, 5,
+                        49, 32, 25, 0,  16, 31, 17, 10, 1,  35, 45, 26, 34, 23, 29, 19, 42,
+                        7,  40, 20, 28, 8,  6,  9,  33, 39, 27, 4,  41, 11, 12, 48, 30}));
+  rng.SampleWithoutReplacement(1245, 10, &sample);
+  EXPECT_EQ(sample,
+            (std::vector<uint32_t>{290, 1163, 553, 1033, 210, 829, 188, 1070, 259, 827}));
+  rng.SampleWithoutReplacement(1'000'000, 35, &sample);
+  EXPECT_EQ(sample, (std::vector<uint32_t>{
+                        233360, 57621,  370673, 383817, 437636, 283773, 217910, 737405, 891519,
+                        430941, 687241, 912397, 333490, 621103, 655598, 507298, 703197, 754814,
+                        301594, 279380, 523580, 527643, 726539, 191103, 236289, 119269, 659016,
+                        260585, 163464, 49068,  268856, 730111, 569051, 693607, 989312}));
+  EXPECT_EQ(rng.Next(), 4501795081210253356u);
+}
+
 TEST(SamplesTest, PercentileExactValues) {
   Samples s;
   for (int i = 1; i <= 100; ++i) {
@@ -320,17 +395,19 @@ std::vector<int> Contents(const RingBuffer<int>& ring) {
 }
 
 // A ring of `size` entries 0..size-1 whose head sits at physical slot `head`
-// of a capacity-16 buffer (12 pushes grow it to 16; pops then push it round).
-RingBuffer<int> WrappedRing(size_t head, size_t size) {
+// of a buffer of power-of-two `capacity` (`capacity` pushes grow it to
+// exactly that from any start of at most `capacity`; popping them all leaves
+// the head at slot 0, and push/pop pairs then move it round). `size` must
+// not exceed `capacity`, or the ring grows and the head moves to slot 0.
+RingBuffer<int> WrappedRing(size_t capacity, size_t head, size_t size) {
   RingBuffer<int> ring;
-  for (int i = 0; i < 12; ++i) {
+  for (size_t i = 0; i < capacity; ++i) {
     ring.PushBack(-1);
   }
-  for (int i = 0; i < 12; ++i) {
+  for (size_t i = 0; i < capacity; ++i) {
     ring.PopFront();
   }
-  // The head is now at slot 12; rotate it to `head`.
-  for (size_t i = 0; i < (head + 16 - 12) % 16; ++i) {
+  for (size_t i = 0; i < head; ++i) {
     ring.PushBack(-1);
     ring.PopFront();
   }
@@ -343,12 +420,10 @@ RingBuffer<int> WrappedRing(size_t head, size_t size) {
 TEST(RingBufferTest, GrowsAcrossWraparound) {
   // Fill a capacity-8 ring that has wrapped, then keep pushing so every
   // doubling happens with the live entries split across the storage end.
-  RingBuffer<int> ring;
+  // Eight pushes size the ring at 8 whatever its first allocation; popping
+  // them and five push/pop pairs leave the empty ring's head at slot 5.
+  RingBuffer<int> ring = WrappedRing(8, 5, 0);
   std::deque<int> model;
-  for (int i = 0; i < 5; ++i) {
-    ring.PushBack(-1);
-    ring.PopFront();
-  }
   int next = 0;
   for (int round = 0; round < 200; ++round) {
     ring.PushBack(next);
@@ -378,7 +453,7 @@ TEST(RingBufferTest, EraseRangeOnBothSidesOfTheGap) {
   for (size_t head : {0u, 6u, 9u, 13u}) {
     for (size_t begin = 0; begin <= 12; ++begin) {
       for (size_t end = begin; end <= 12; ++end) {
-        RingBuffer<int> ring = WrappedRing(head, 12);
+        RingBuffer<int> ring = WrappedRing(16, head, 12);
         std::vector<int> model = Contents(ring);
         ring.EraseRange(begin, end);
         model.erase(model.begin() + static_cast<std::ptrdiff_t>(begin),
@@ -391,6 +466,75 @@ TEST(RingBufferTest, EraseRangeOnBothSidesOfTheGap) {
         EXPECT_EQ(ring.PopFront(), model.front());
         model.erase(model.begin());
         EXPECT_EQ(Contents(ring), model);
+      }
+    }
+  }
+}
+
+TEST(RingBufferTest, GrowsFromOneEntryWithEveryDoublingWrapped) {
+  // A ring's storage starts at one entry and doubles. Before each doubling
+  // from 2 on, one pop and one push move the full ring's head off slot 0, so
+  // the doubling copies entries split across the storage end; then the
+  // grown ring is filled to its new capacity. Checked against a deque after
+  // every operation, up to the doubling to 64.
+  RingBuffer<int> ring;
+  std::deque<int> model;
+  int next = 0;
+  auto push = [&] {
+    ring.PushBack(next);
+    model.push_back(next++);
+  };
+  auto check = [&] {
+    ASSERT_EQ(ring.Size(), model.size());
+    EXPECT_EQ(Contents(ring), std::vector<int>(model.begin(), model.end()));
+  };
+  push();  // Capacity 1, full.
+  check();
+  for (size_t capacity = 1; capacity < 64; capacity *= 2) {
+    // Full at `capacity`: rotate the head by one, staying full.
+    EXPECT_EQ(ring.PopFront(), model.front());
+    model.pop_front();
+    push();
+    check();
+    // Grow to 2 * capacity, then fill it.
+    while (ring.Size() < 2 * capacity) {
+      push();
+      check();
+    }
+  }
+  ASSERT_EQ(ring.Size(), 64u);
+  while (!ring.Empty()) {
+    EXPECT_EQ(ring.PopFront(), model.front());
+    model.pop_front();
+  }
+  EXPECT_TRUE(model.empty());
+}
+
+TEST(RingBufferTest, EraseRangeAtSmallCapacities) {
+  // Rings of capacity 1, 2 and 4, the sizes most worker queues stay at:
+  // every head slot, every size up to the capacity, every [begin, end).
+  for (size_t capacity : {1u, 2u, 4u}) {
+    for (size_t head = 0; head < capacity; ++head) {
+      for (size_t size = 0; size <= capacity; ++size) {
+        for (size_t begin = 0; begin <= size; ++begin) {
+          for (size_t end = begin; end <= size; ++end) {
+            RingBuffer<int> ring = WrappedRing(capacity, head, size);
+            std::vector<int> model = Contents(ring);
+            ring.EraseRange(begin, end);
+            model.erase(model.begin() + static_cast<std::ptrdiff_t>(begin),
+                        model.begin() + static_cast<std::ptrdiff_t>(end));
+            ASSERT_EQ(Contents(ring), model)
+                << "capacity " << capacity << " head " << head << " size " << size
+                << " erase [" << begin << ", " << end << ")";
+            // Refill past the capacity: the ring keeps working as a FIFO.
+            for (int i = 0; i < 5; ++i) {
+              ring.PushBack(100 + i);
+              model.push_back(100 + i);
+            }
+            EXPECT_EQ(Contents(ring), model);
+            EXPECT_EQ(ring.PopFront(), model.front());
+          }
+        }
       }
     }
   }

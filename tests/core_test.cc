@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <deque>
 #include <functional>
 #include <set>
+#include <tuple>
 #include <vector>
 
 #include "src/core/estimator.h"
@@ -211,6 +213,71 @@ TEST(WaitingTimeQueueTest, MatchesNaiveReferenceModel) {
       }
     }
   }
+}
+
+TEST(WaitingTimeQueueTest, AssignsExactOrderUnderTies) {
+  // Randomized property over the whole §3.7 order, ties included: with few
+  // workers, two estimates and a coarse clock, equal keys are common. A
+  // reference model of each worker (FIFO of assigned estimates, one task
+  // executing at a time) predicts every AssignTask exactly: the minimum of
+  // (fresh drain, executing, id), except that workers with nothing assigned
+  // or executing all have fresh drain `now` and resolve least-recently
+  // drained first (their stored key is the time they drained).
+  struct Model {
+    DurationUs backlog = 0;
+    SimTime exec_drain = 0;
+    bool executing = false;
+    SimTime drained_at = 0;
+    std::deque<DurationUs> pending;
+  };
+  Rng rng(19);
+  const uint32_t n = 6;
+  WaitingTimeQueue queue(n);
+  std::vector<Model> model(n);
+  SimTime now = 0;
+  int assignments = 0;
+  for (int step = 0; step < 20000; ++step) {
+    now += 50 * static_cast<SimTime>(rng.NextBounded(3));
+    const uint64_t op = rng.NextBounded(3);
+    if (op == 0) {
+      const DurationUs est = rng.Bernoulli(0.5) ? 100 : 200;
+      WorkerId expected = 0;
+      auto order = [&](WorkerId w) {
+        const Model& m = model[w];
+        const bool drained = m.backlog == 0 && !m.executing;
+        return std::make_tuple(std::max(now, m.exec_drain) + m.backlog, m.executing,
+                               drained ? m.drained_at : SimTime{0}, w);
+      };
+      for (WorkerId w = 1; w < n; ++w) {
+        if (order(w) < order(expected)) {
+          expected = w;
+        }
+      }
+      ASSERT_EQ(queue.AssignTask(now, est), expected) << "step " << step;
+      model[expected].backlog += est;
+      model[expected].pending.push_back(est);
+      ++assignments;
+    } else {
+      const auto w = static_cast<WorkerId>(rng.NextBounded(n));
+      Model& m = model[w];
+      if (m.executing && op == 1) {
+        queue.OnTaskFinish(w, now);
+        m.exec_drain = now;
+        m.executing = false;
+        if (m.backlog == 0) {
+          m.drained_at = now;
+        }
+      } else if (!m.executing && !m.pending.empty()) {
+        const DurationUs est = m.pending.front();
+        m.pending.pop_front();
+        queue.OnTaskStart(w, now, est);
+        m.backlog -= est;
+        m.exec_drain = now + est;
+        m.executing = true;
+      }
+    }
+  }
+  EXPECT_GT(assignments, 5000);
 }
 
 // --- Probe placement -----------------------------------------------------------

@@ -21,7 +21,7 @@ Trace FlatJobs(size_t count) {
   Trace trace;
   for (size_t i = 0; i < count; ++i) {
     Job job;
-    job.task_durations = {SecondsToUs(1.0)};
+    job.task_durations.push_back(SecondsToUs(1.0));
     trace.Add(job);
   }
   trace.SortAndRenumber();
@@ -199,7 +199,7 @@ TEST(QueueWaitTelemetryTest, SparrowShortWaitsExceedHawksUnderLoad) {
 TEST(QueueWaitTelemetryTest, IdleClusterHasNearZeroWaits) {
   Trace trace;
   Job job;
-  job.task_durations = {SecondsToUs(1.0)};
+  job.task_durations.push_back(SecondsToUs(1.0));
   trace.Add(job);
   trace.SortAndRenumber();
   HawkConfig config;

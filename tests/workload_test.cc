@@ -40,7 +40,7 @@ TEST(TraceTest, SortAndRenumberOrdersBySubmitTime) {
   for (const SimTime t : {300, 100, 200}) {
     Job job;
     job.submit_time = t;
-    job.task_durations = {1000};
+    job.task_durations.push_back(1000);
     trace.Add(job);
   }
   trace.SortAndRenumber();
@@ -196,7 +196,7 @@ TEST(ArrivalsTest, PoissonMeanConverges) {
   Trace trace;
   for (int i = 0; i < 20000; ++i) {
     Job job;
-    job.task_durations = {1000};
+    job.task_durations.push_back(1000);
     trace.Add(job);
   }
   Rng rng(5);
@@ -258,7 +258,7 @@ TEST(ScalingTest, RescaleTimeAppliesFactor) {
 TEST(ScalingTest, RescaleClampsToOneMicrosecond) {
   Trace trace;
   Job job;
-  job.task_durations = {5};
+  job.task_durations.push_back(5);
   trace.Add(job);
   trace.SortAndRenumber();
   const Trace scaled = RescaleTime(trace, 0.001);
