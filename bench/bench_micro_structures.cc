@@ -1,8 +1,10 @@
 // google-benchmark microbenchmarks for the hot data structures: the event
-// queue, the centralized waiting-time queue, the steal-group scan, steal
-// victim sampling plus screening over a large cluster, sampling without
-// replacement, and trace generation throughput. These bound the simulator's
-// events/second and the per-decision cost a production scheduler would pay.
+// queue and the driver's multi-lane event queue, the centralized
+// waiting-time queue, the steal-group scan, steal victim sampling plus
+// screening over a large cluster, probe delivery to worker queues, sampling
+// without replacement, and trace generation throughput. These bound the
+// simulator's events/second and the per-decision cost a production
+// scheduler would pay.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -33,6 +35,38 @@ void BM_EventQueuePushPop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * batch * 2);
 }
 BENCHMARK(BM_EventQueuePushPop)->Arg(1024)->Arg(65536);
+
+// The serial driver's event-queue mix in steady state: N events in flight,
+// and each iteration selects the earliest source once, pops from it and
+// pushes one replacement at the popped time plus a delay, 70% onto one of
+// three fixed-delay lanes (delivery, RTT, steal retry) and 30% onto the heap
+// (task completions). Items are pops.
+void BM_MultiLaneEventQueueMix(benchmark::State& state) {
+  using Queue = hawk::sim::MultiLaneEventQueue<uint64_t, 3>;
+  const int64_t in_flight = state.range(0);
+  const hawk::SimTime lane_delay[3] = {500, 1000, 10'000};
+  hawk::Rng rng(6);
+  Queue queue;
+  auto push = [&](hawk::SimTime now, uint64_t payload) {
+    if (rng.Bernoulli(0.7)) {
+      const auto lane = static_cast<size_t>(rng.NextBounded(3));
+      queue.PushLane(lane, now + lane_delay[lane], payload);
+    } else {
+      queue.Push(now + static_cast<hawk::SimTime>(rng.NextBounded(200'000)), payload);
+    }
+  };
+  for (int64_t i = 0; i < in_flight; ++i) {
+    push(0, static_cast<uint64_t>(i));
+  }
+  for (auto _ : state) {
+    const int source = queue.Earliest();
+    const auto entry = queue.Pop(source);
+    benchmark::DoNotOptimize(entry.payload);
+    push(entry.at, entry.payload);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_MultiLaneEventQueueMix)->Arg(1024)->Arg(65536);
 
 void BM_WaitingTimeQueueAssign(benchmark::State& state) {
   const auto workers = static_cast<uint32_t>(state.range(0));
@@ -119,6 +153,24 @@ void BM_StealVictimScreen(benchmark::State& state) {
       static_cast<double>(found) / static_cast<double>(state.iterations());
 }
 BENCHMARK(BM_StealVictimScreen)->Arg(1500)->Arg(1'000'000);
+
+// One probe delivery to a quiet worker and its dispatch: Enqueue on a random
+// worker, then PopFront of the same entry. The queue's one entry stays
+// inside the worker's record, so at 1M workers each iteration costs about
+// one cache miss, as scale-1m's deliveries do; at 1,500 workers the store is
+// cache-resident.
+void BM_WorkerQueueDelivery(benchmark::State& state) {
+  const auto num_workers = static_cast<uint32_t>(state.range(0));
+  hawk::WorkerStore workers(num_workers);
+  hawk::Rng rng(7);
+  for (auto _ : state) {
+    const auto worker = static_cast<hawk::WorkerId>(rng.NextBounded(num_workers));
+    workers.Enqueue(worker, hawk::QueueEntry::Probe(worker, /*is_long=*/false));
+    benchmark::DoNotOptimize(workers.PopFront(worker));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_WorkerQueueDelivery)->Arg(1500)->Arg(1'000'000);
 
 // One buffer-reusing Rng::SampleWithoutReplacement call per iteration, in
 // each of its three membership regimes: (50, 50) dense Fisher-Yates, (1245,

@@ -99,6 +99,7 @@ void WorkerStore::ConfigureShards(const std::vector<WorkerId>& shard_begin) {
   HAWK_CHECK_EQ(shard_begin.front(), 0u) << "shard 0 must start at worker 0";
   HAWK_CHECK_EQ(ExecutingTotal(), 0u) << "ConfigureShards on a store already in use";
   HAWK_CHECK_EQ(TotalQueued(), 0u) << "ConfigureShards on a store already in use";
+  HAWK_CHECK_EQ(TotalBusyUs(), 0) << "ConfigureShards on a store already in use";
   const uint32_t num_workers = NumWorkers();
   shard_of_.assign(num_workers, 0);
   for (size_t s = 0; s + 1 < shard_begin.size(); ++s) {

@@ -9,21 +9,26 @@
 // visit is a cache miss. WorkerStore therefore keeps all of one worker's
 // state in one cache-line-aligned record:
 //
-//   queue          FIFO ring header of probe/task entries (the entries
-//                  themselves live in the ring's heap storage)
+//   queue          FIFO ring of probe/task entries; the first entry sits
+//                  inside the ring header, so only a queue that ever holds
+//                  two entries has heap storage
 //   free, executing, requesting, occupied_long, slots
 //                  slot counters and capacity; occupied_long counts
 //                  occupied slots holding long work (steal screening)
 //   queue_short    short entries queued; long ones are the queue size minus
 //                  this, so the steal screen rejects most victims without
 //                  touching the ring's storage
-//   busy_us        accumulated execution time (work conservation)
 //
-// One visit costs one line, the record's, plus the ring storage when entries
-// are actually read or written. The steal path prefetches the records of all
-// sampled victims before contacting the first (Prefetch), so those misses
-// overlap. Records never share a line, so concurrent shards of the sharded
-// executor never write the same line of worker state.
+// One visit costs one line, the record's, plus the ring's heap storage only
+// when a queue holding two or more entries is read or written. Accumulated
+// execution time (work conservation) is not per worker: it only ever feeds
+// the run's total, so it sits in the shard totals beside the executing and
+// queued counts, and the record keeps its line for the ring. The steal path
+// prefetches the records of all sampled victims before contacting the first,
+// and the serial driver prefetches the workers of upcoming lane events
+// (Prefetch), so those misses overlap. Records never share a line, so
+// concurrent shards of the sharded executor never write the same line of
+// worker state.
 //
 // Workers are multi-slot (paper §4.1: a multi-slot node is equivalent to
 // more single-slot workers; here the slots share one FIFO queue): a worker
@@ -112,7 +117,7 @@ class WorkerStore {
   void Prefetch(WorkerId id) const { __builtin_prefetch(&recs_[Check(id)]); }
 
   // --- sharded execution ---------------------------------------------------
-  // Splits the occupancy accumulators (queued/executing totals) by worker
+  // Splits the accumulators (queued/executing/busy totals) by worker
   // shard so concurrent shards of the sharded simulation executor never write
   // one shared counter. `shard_begin` lists each shard's first worker id,
   // strictly increasing and starting at 0; shard s owns the contiguous range
@@ -209,9 +214,10 @@ class WorkerStore {
   // away (BeginExecute charges the full duration up front; a killed task only
   // delivered part of it).
   void DeductBusyUs(WorkerId id, DurationUs us) {
-    Rec& w = Record(id);
-    HAWK_CHECK_GE(w.busy_us, us);
-    w.busy_us -= us;
+    HAWK_CHECK_LT(id, recs_.size());
+    ShardTotals& totals = totals_[ShardOf(id)];
+    HAWK_CHECK_GE(totals.busy_us, us);
+    totals.busy_us -= us;
   }
 
   // --- execution state transitions --------------------------------------
@@ -252,8 +258,9 @@ class WorkerStore {
     if (task.is_long) {
       ++w.occupied_long;
     }
-    w.busy_us += task.duration;
-    ++totals_[ShardOf(id)].executing;
+    ShardTotals& totals = totals_[ShardOf(id)];
+    totals.busy_us += task.duration;
+    ++totals.executing;
   }
 
   // Releases an executing slot. `was_long` must match the task's scheduling
@@ -314,20 +321,19 @@ class WorkerStore {
     return total;
   }
 
-  // Total microseconds of task execution accumulated on `id`.
-  DurationUs BusyAccumUs(WorkerId id) const { return Record(id).busy_us; }
-
+  // Microseconds of task execution charged across the whole store. O(shards).
   DurationUs TotalBusyUs() const {
     DurationUs total = 0;
-    for (const Rec& w : recs_) {
-      total += w.busy_us;
+    for (const ShardTotals& t : totals_) {
+      total += t.busy_us;
     }
     return total;
   }
 
  private:
-  // One worker's state, one cache line (see the file comment). The vector's
-  // storage is line-aligned through C++17 aligned operator new.
+  // One worker's state, one cache line (see the file comment): the 48-byte
+  // ring, 10 bytes of slot counters and queue_short. The vector's storage is
+  // line-aligned through C++17 aligned operator new.
   struct alignas(64) Rec {
     RingBuffer<QueueEntry> queue;
     uint16_t free = 0;
@@ -336,7 +342,6 @@ class WorkerStore {
     uint16_t occupied_long = 0;
     uint16_t slots = 0;
     uint32_t queue_short = 0;
-    DurationUs busy_us = 0;
   };
   static_assert(sizeof(Rec) == 64, "a worker record must fill exactly one cache line");
 
@@ -346,6 +351,7 @@ class WorkerStore {
   struct alignas(64) ShardTotals {
     uint64_t executing = 0;
     uint64_t queued = 0;
+    DurationUs busy_us = 0;
   };
 
   size_t Check(WorkerId id) const {
@@ -372,7 +378,7 @@ class WorkerStore {
 
   uint64_t total_slots_ = 0;
 
-  // Occupancy accumulators, one per shard (exactly one until ConfigureShards).
+  // Accumulators, one per shard (exactly one until ConfigureShards).
   std::vector<ShardTotals> totals_{1};
   std::vector<uint32_t> shard_of_;  // Empty = everything in shard 0.
 };

@@ -12,12 +12,17 @@ RunResult SimulationDriver::Run() {
   // the merge wins ties (<=) for the same effect, and dynamic events keep
   // their relative sequence order. Pop order, and thus every result bit,
   // is identical.
+  //
+  // Each iteration selects the earliest queued event once; the cursor
+  // comparison and the pop both use that selection.
   const std::vector<Job>& jobs = trace_->jobs();
   size_t next_job = 0;
   ArmTimers();
-  while (next_job < jobs.size() || !events_.Empty()) {
+  while (true) {
+    const int source = events_.Earliest();
+    const bool have_event = source != EventQueue::kNone;
     if (next_job < jobs.size() &&
-        (events_.Empty() || jobs[next_job].submit_time <= events_.PeekTime())) {
+        (!have_event || jobs[next_job].submit_time <= events_.PeekTime(source))) {
       const Job& job = jobs[next_job++];
       HAWK_CHECK_GE(job.submit_time, now_) << "trace must be sorted by submit time";
       now_ = job.submit_time;
@@ -25,7 +30,15 @@ RunResult SimulationDriver::Run() {
       ArriveJob(job);
       continue;
     }
-    auto entry = events_.Pop();
+    if (!have_event) {
+      break;
+    }
+    auto entry = events_.Pop(source);
+    if (source != EventQueue::kHeap) {
+      if (const auto* ahead = events_.LaneAt(source, kPrefetchAhead)) {
+        cluster_.workers().Prefetch(ahead->payload.worker);
+      }
+    }
     HAWK_CHECK_GE(entry.at, now_);
     now_ = entry.at;
     result_.counters.events++;

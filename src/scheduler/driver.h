@@ -38,6 +38,10 @@ class SimulationDriver : public DriverCore<SimulationDriver> {
   static constexpr size_t kLaneNetDelay = 0;    // Probe/task delivery: +net_delay.
   static constexpr size_t kLaneRtt = 1;         // Late-binding resolve: +2*net_delay.
   static constexpr size_t kLaneStealRetry = 2;  // Idle retry: +steal_retry_interval.
+  // Every lane event names a worker. After a lane pop, the record of the
+  // worker this many events behind that lane's new front is prefetched, so
+  // at 1M workers its cache miss overlaps the events in between.
+  static constexpr size_t kPrefetchAhead = 8;
 
   void Dispatch(const SimEvent& ev);
 
@@ -63,7 +67,8 @@ class SimulationDriver : public DriverCore<SimulationDriver> {
   }
   uint64_t DeliveriesConsumed() const { return deliveries_consumed_; }
 
-  sim::MultiLaneEventQueue<SimEvent, 3> events_;
+  using EventQueue = sim::MultiLaneEventQueue<SimEvent, 3>;
+  EventQueue events_;
   uint64_t deliveries_consumed_ = 0;
 };
 

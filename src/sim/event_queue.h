@@ -190,7 +190,7 @@ class MultiLaneEventQueue {
     l.PushBack(Entry{at, next_seq_++, std::move(payload)});
   }
 
-  bool Empty() const { return Size() == 0; }
+  bool Empty() const { return Earliest() == kNone; }
 
   size_t Size() const {
     size_t total = heap_.Size();
@@ -200,14 +200,58 @@ class MultiLaneEventQueue {
     return total;
   }
 
-  SimTime PeekTime() const {
-    const int lane = EarliestLane();
-    return lane < 0 ? heap_.PeekTime() : lanes_[static_cast<size_t>(lane)].Front().at;
+  // Event sources: a lane index in [0, kLanes), or one of these.
+  static constexpr int kHeap = -1;  // The arbitrary-delay heap.
+  static constexpr int kNone = -2;  // The queue is empty.
+
+  // Source of the (time, seq)-earliest event, or kNone. This is the one scan
+  // over the heap top and the lane fronts: a loop that peeks and then pops
+  // selects once and hands the source to PeekTime(source) and Pop(source).
+  int Earliest() const {
+    int best = kNone;
+    SimTime best_at = 0;
+    uint64_t best_seq = 0;
+    if (!heap_.Empty()) {
+      best = kHeap;
+      best_at = heap_.PeekTime();
+      best_seq = heap_.PeekSeq();
+    }
+    for (size_t i = 0; i < kLanes; ++i) {
+      if (lanes_[i].Empty()) {
+        continue;
+      }
+      const Entry& front = lanes_[i].Front();
+      if (best == kNone || front.at < best_at || (front.at == best_at && front.seq < best_seq)) {
+        best = static_cast<int>(i);
+        best_at = front.at;
+        best_seq = front.seq;
+      }
+    }
+    return best;
   }
 
-  Entry Pop() {
-    const int lane = EarliestLane();
-    return lane < 0 ? heap_.Pop() : lanes_[static_cast<size_t>(lane)].PopFront();
+  // Timestamp of the earliest event of `source` (from Earliest()).
+  SimTime PeekTime(int source) const {
+    return source == kHeap ? heap_.PeekTime() : LaneOf(source).Front().at;
+  }
+
+  // Removes and returns the earliest event of `source` (from Earliest()).
+  Entry Pop(int source) {
+    if (source == kHeap) {
+      return heap_.Pop();
+    }
+    return lanes_[LaneIndex(source)].PopFront();
+  }
+
+  SimTime PeekTime() const { return PeekTime(Earliest()); }
+  Entry Pop() { return Pop(Earliest()); }
+
+  // Lane `source`'s entry at FIFO position `i` (0 = its front), or nullptr if
+  // the lane holds no more than `i` entries. A lane pops in FIFO order, so
+  // the entry will be popped soon: callers use it to prefetch.
+  const Entry* LaneAt(int source, size_t i) const {
+    const Lane& l = LaneOf(source);
+    return i < l.Size() ? &l.At(i) : nullptr;
   }
 
   void Clear() {
@@ -221,32 +265,12 @@ class MultiLaneEventQueue {
   // A monotone lane is sorted by construction, so a FIFO ring suffices.
   using Lane = RingBuffer<Entry>;
 
-  // Index of the lane holding the globally earliest entry, or -1 for the
-  // heap. HAWK_CHECKs that the queue is non-empty.
-  int EarliestLane() const {
-    HAWK_CHECK(!Empty());
-    int best_lane = -2;
-    SimTime best_at = 0;
-    uint64_t best_seq = 0;
-    if (!heap_.Empty()) {
-      best_lane = -1;
-      best_at = heap_.PeekTime();
-      best_seq = heap_.PeekSeq();
-    }
-    for (size_t i = 0; i < kLanes; ++i) {
-      if (lanes_[i].Empty()) {
-        continue;
-      }
-      const Entry& front = lanes_[i].Front();
-      if (best_lane == -2 || front.at < best_at ||
-          (front.at == best_at && front.seq < best_seq)) {
-        best_lane = static_cast<int>(i);
-        best_at = front.at;
-        best_seq = front.seq;
-      }
-    }
-    return best_lane;
+  static size_t LaneIndex(int source) {
+    HAWK_CHECK(source >= 0 && static_cast<size_t>(source) < kLanes)
+        << "no event source " << source << " (empty queue?)";
+    return static_cast<size_t>(source);
   }
+  const Lane& LaneOf(int source) const { return lanes_[LaneIndex(source)]; }
 
   EventQueue<Payload> heap_;
   Lane lanes_[kLanes];

@@ -50,7 +50,7 @@ TEST(WorkerStoreTest, SlotStateMachine) {
   store.FinishExecute(0, /*was_long=*/false);
   EXPECT_EQ(store.ExecutingSlots(0), 0u);
   EXPECT_EQ(store.ExecutingTotal(), 0u);
-  EXPECT_EQ(store.BusyAccumUs(0), 10);
+  EXPECT_EQ(store.TotalBusyUs(), 10);
 }
 
 TEST(WorkerStoreTest, BusyAccumulates) {
@@ -59,7 +59,30 @@ TEST(WorkerStoreTest, BusyAccumulates) {
     store.BeginExecute(0, i * 100, QueueEntry::Task(1, 0, 25, false));
     store.FinishExecute(0, false);
   }
-  EXPECT_EQ(store.BusyAccumUs(0), 125);
+  EXPECT_EQ(store.TotalBusyUs(), 125);
+}
+
+TEST(WorkerStoreTest, BusyTimeIsChargedToTheWorkersShard) {
+  // Shard 0 owns workers 0-1, shard 1 owns workers 2-3.
+  WorkerStore store(4);
+  store.ConfigureShards({0, 2});
+  store.BeginExecute(1, 0, QueueEntry::Task(1, 0, 30, false));
+  store.BeginExecute(3, 0, QueueEntry::Task(2, 0, 50, false));
+  store.FinishExecute(3, false);
+  store.BeginExecute(3, 0, QueueEntry::Task(3, 0, 7, false));
+  EXPECT_EQ(store.TotalBusyUs(), 87);  // 30 in shard 0, 57 in shard 1.
+
+  // Deductions come back from the worker's own shard: shard 1 drops to 17,
+  // so taking 20 more from it fails although shard 0 still holds 30 and the
+  // store 47.
+  store.DeductBusyUs(2, 40);
+  EXPECT_EQ(store.TotalBusyUs(), 47);
+  EXPECT_DEATH({ store.DeductBusyUs(3, 20); }, "CHECK failed");
+  store.DeductBusyUs(0, 30);
+  EXPECT_EQ(store.TotalBusyUs(), 17);
+  EXPECT_DEATH({ store.DeductBusyUs(1, 1); }, "CHECK failed");
+  store.DeductBusyUs(3, 17);
+  EXPECT_EQ(store.TotalBusyUs(), 0);
 }
 
 TEST(WorkerStoreTest, MultiSlotConcurrentExecution) {

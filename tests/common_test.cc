@@ -472,7 +472,8 @@ TEST(RingBufferTest, EraseRangeOnBothSidesOfTheGap) {
 }
 
 TEST(RingBufferTest, GrowsFromOneEntryWithEveryDoublingWrapped) {
-  // A ring's storage starts at one entry and doubles. Before each doubling
+  // A ring's storage starts at one entry, held inline, and doubles; the
+  // first doubling moves the inline entry to the heap. Before each doubling
   // from 2 on, one pop and one push move the full ring's head off slot 0, so
   // the doubling copies entries split across the storage end; then the
   // grown ring is filled to its new capacity. Checked against a deque after
@@ -511,8 +512,10 @@ TEST(RingBufferTest, GrowsFromOneEntryWithEveryDoublingWrapped) {
 }
 
 TEST(RingBufferTest, EraseRangeAtSmallCapacities) {
-  // Rings of capacity 1, 2 and 4, the sizes most worker queues stay at:
-  // every head slot, every size up to the capacity, every [begin, end).
+  // Rings of capacity 1 (the inline entry), 2 and 4, the sizes most worker
+  // queues stay at: every head slot, every size up to the capacity, every
+  // [begin, end). Refilling then grows capacity-1 rings out of inline
+  // storage.
   for (size_t capacity : {1u, 2u, 4u}) {
     for (size_t head = 0; head < capacity; ++head) {
       for (size_t size = 0; size <= capacity; ++size) {
@@ -535,6 +538,71 @@ TEST(RingBufferTest, EraseRangeAtSmallCapacities) {
             EXPECT_EQ(ring.PopFront(), model.front());
           }
         }
+      }
+    }
+  }
+}
+
+TEST(RingBufferTest, CopiesAndMovesAtEveryCapacity) {
+  // Copy and move construction and assignment, including self-assignment,
+  // of inline (capacity 1) and heap rings, into inline and heap targets.
+  // Copies are deep, moved-from rings are empty, and every result keeps
+  // working as a FIFO past its capacity.
+  auto keeps_working = [](RingBuffer<int>& ring, std::vector<int> model) {
+    for (int i = 0; i < 9; ++i) {
+      ring.PushBack(200 + i);
+      model.push_back(200 + i);
+    }
+    ASSERT_EQ(Contents(ring), model);
+    while (!ring.Empty()) {
+      ASSERT_EQ(ring.PopFront(), model.front());
+      model.erase(model.begin());
+    }
+  };
+  for (size_t capacity : {1u, 2u, 8u}) {
+    for (size_t head = 0; head < capacity; ++head) {
+      for (size_t size = 0; size <= capacity; ++size) {
+        SCOPED_TRACE(testing::Message() << "capacity " << capacity << " head " << head
+                                        << " size " << size);
+        RingBuffer<int> ring = WrappedRing(capacity, head, size);
+        const std::vector<int> model = Contents(ring);
+
+        RingBuffer<int> copy(ring);
+        EXPECT_EQ(Contents(copy), model);
+        keeps_working(copy, model);
+        EXPECT_EQ(Contents(ring), model) << "a copy shares storage with its source";
+
+        RingBuffer<int> inline_target = WrappedRing(1, 0, 1);
+        inline_target = ring;
+        EXPECT_EQ(Contents(inline_target), model);
+        RingBuffer<int> heap_target = WrappedRing(4, 3, 3);
+        heap_target = ring;
+        EXPECT_EQ(Contents(heap_target), model);
+        keeps_working(heap_target, model);
+        EXPECT_EQ(Contents(ring), model);
+
+        RingBuffer<int>& alias = ring;
+        ring = alias;
+        EXPECT_EQ(Contents(ring), model);
+        ring = std::move(alias);
+        EXPECT_EQ(Contents(ring), model);
+
+        RingBuffer<int> moved(std::move(inline_target));
+        EXPECT_EQ(Contents(moved), model);
+        EXPECT_TRUE(inline_target.Empty());
+        keeps_working(inline_target, {});
+        keeps_working(moved, model);
+
+        RingBuffer<int> move_inline = WrappedRing(1, 0, 1);
+        move_inline = std::move(ring);
+        EXPECT_EQ(Contents(move_inline), model);
+        EXPECT_TRUE(ring.Empty());
+        RingBuffer<int> move_heap = WrappedRing(8, 5, 6);
+        move_heap = std::move(move_inline);
+        EXPECT_EQ(Contents(move_heap), model);
+        EXPECT_TRUE(move_inline.Empty());
+        keeps_working(move_heap, model);
+        keeps_working(ring, {});
       }
     }
   }

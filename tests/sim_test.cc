@@ -3,6 +3,7 @@
 // against std::priority_queue.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <queue>
 #include <tuple>
 #include <vector>
@@ -162,6 +163,69 @@ TEST(MultiLaneEventQueueTest, MatchesPriorityQueueOracle) {
   EXPECT_TRUE(q.Empty());
 }
 
+TEST(MultiLaneEventQueueTest, SelectThenPopWithJobCursorMatchesOracle) {
+  // SimulationDriver::Run's loop: a sorted job cursor merged with the queue
+  // through one Earliest() selection per step, PeekTime and Pop taking that
+  // source, and the cursor winning time ties (<=). The oracle is the
+  // preloaded formulation: every job pushed first (the lowest seqs), then
+  // the events, all in one (time, seq) order. Times sit on a coarse grid so
+  // jobs, lanes and heap tie often.
+  using Queue = sim::MultiLaneEventQueue<uint64_t, 3>;
+  constexpr uint64_t kJobTag = uint64_t{1} << 63;
+  Rng rng(4321);
+  std::vector<SimTime> jobs(3000);
+  for (SimTime& at : jobs) {
+    at = static_cast<SimTime>(rng.NextBounded(2000)) * 250;
+  }
+  std::sort(jobs.begin(), jobs.end());
+  std::priority_queue<OracleEntry> oracle;
+  for (uint64_t j = 0; j < jobs.size(); ++j) {
+    oracle.push(OracleEntry{jobs[j], j, kJobTag | j});
+  }
+  Queue q;
+  const SimTime deltas[3] = {250, 500, 250000};
+  uint64_t seq = jobs.size();  // Oracle seq of the queue's next push.
+  size_t next_job = 0;
+  SimTime now = 0;
+  int pushes_left = 20000;
+  while (!oracle.empty()) {
+    const int source = q.Earliest();
+    OracleEntry got{};
+    if (next_job < jobs.size() &&
+        (source == Queue::kNone || jobs[next_job] <= q.PeekTime(source))) {
+      got = OracleEntry{jobs[next_job], next_job, kJobTag | next_job};
+      ++next_job;
+    } else {
+      ASSERT_NE(source, Queue::kNone);
+      const auto entry = q.Pop(source);
+      got = OracleEntry{entry.at, entry.seq + jobs.size(), entry.payload};
+    }
+    const OracleEntry want = oracle.top();
+    oracle.pop();
+    ASSERT_EQ(got.at, want.at) << "oracle seq " << want.seq;
+    ASSERT_EQ(got.seq, want.seq);
+    ASSERT_EQ(got.payload, want.payload);
+    now = got.at;
+    // The handler of each job or event pushes up to two events.
+    for (auto k = rng.NextBounded(3); k > 0 && pushes_left > 0; --k, --pushes_left) {
+      const uint64_t payload = rng.Next() >> 1;
+      SimTime at = 0;
+      if (rng.Bernoulli(0.7)) {
+        const auto lane = static_cast<size_t>(rng.NextBounded(3));
+        at = now + deltas[lane];
+        q.PushLane(lane, at, payload);
+      } else {
+        at = now + static_cast<SimTime>(rng.NextBounded(400)) * 250;
+        q.Push(at, payload);
+      }
+      oracle.push(OracleEntry{at, seq++, payload});
+    }
+  }
+  EXPECT_EQ(next_job, jobs.size());
+  EXPECT_EQ(q.Earliest(), Queue::kNone);
+  EXPECT_TRUE(q.Empty());
+}
+
 TEST(MultiLaneEventQueueTest, SameInstantOrderedBySequenceAcrossLanes) {
   sim::MultiLaneEventQueue<int, 2> q;
   q.PushLane(0, 10, 0);  // seq 0
@@ -171,6 +235,11 @@ TEST(MultiLaneEventQueueTest, SameInstantOrderedBySequenceAcrossLanes) {
   q.Push(10, 4);         // seq 4
   EXPECT_EQ(q.Size(), 5u);
   EXPECT_EQ(q.PeekTime(), 10);
+  EXPECT_EQ(q.Earliest(), 0);
+  ASSERT_NE(q.LaneAt(0, 1), nullptr);
+  EXPECT_EQ(q.LaneAt(0, 1)->payload, 3);
+  EXPECT_EQ(q.LaneAt(0, 2), nullptr);
+  EXPECT_EQ(q.LaneAt(1, 0)->payload, 2);
   for (int i = 0; i < 5; ++i) {
     EXPECT_EQ(q.Pop().payload, i);
   }
