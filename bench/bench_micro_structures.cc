@@ -1,8 +1,9 @@
 // google-benchmark microbenchmarks for the hot data structures: the event
 // queue and the driver's multi-lane event queue, the centralized
-// waiting-time queue, the steal-group scan, steal victim sampling plus
-// screening over a large cluster, probe delivery to worker queues, sampling
-// without replacement, and trace generation throughput. These bound the
+// waiting-time queue and its slot-aware view, the steal-group scan, steal
+// victim sampling plus screening over a large cluster, probe delivery to
+// worker queues, sampling without replacement, and trace generation
+// throughput. These bound the
 // simulator's events/second and the per-decision cost a production
 // scheduler would pay.
 #include <benchmark/benchmark.h>
@@ -12,6 +13,7 @@
 #include "src/cluster/cluster.h"
 #include "src/cluster/worker_store.h"
 #include "src/common/random.h"
+#include "src/core/slot_waiting_queue.h"
 #include "src/core/stealing_policy.h"
 #include "src/core/waiting_time_queue.h"
 #include "src/sim/event_queue.h"
@@ -85,6 +87,32 @@ void BM_WaitingTimeQueueAssign(benchmark::State& state) {
 }
 BENCHMARK(BM_WaitingTimeQueueAssign)->Arg(1500)->Arg(15000);
 
+// One centrally placed task through SlotWaitingTimeQueue's worker-routed
+// protocol, as the simulation driver uses it: AssignTask, then the start and
+// finish feedback that keep the backlog bounded. Args: (workers, slots per
+// worker). One slot per worker is the pass-through case (lane = worker);
+// four slots add the lane-to-worker map and the per-worker pending and
+// running FIFOs.
+void BM_SlotWaitingTimeQueueAssign(benchmark::State& state) {
+  const auto num_workers = static_cast<uint32_t>(state.range(0));
+  hawk::SlotSpec spec;
+  spec.slots_per_worker = static_cast<uint32_t>(state.range(1));
+  const hawk::Cluster cluster(num_workers, num_workers, spec);
+  hawk::SlotWaitingTimeQueue queue(cluster, num_workers);
+  hawk::Rng rng(2);
+  hawk::SimTime now = 0;
+  for (auto _ : state) {
+    now += 1000;
+    const auto estimate = static_cast<hawk::DurationUs>(rng.NextBounded(5'000'000));
+    const hawk::WorkerId w = queue.AssignTask(now, estimate);
+    benchmark::DoNotOptimize(w);
+    queue.OnTaskStart(w, now, estimate);
+    queue.OnTaskFinish(w, now + 1);
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SlotWaitingTimeQueueAssign)->Args({1500, 1})->Args({1500, 4});
+
 void BM_StealScan(benchmark::State& state) {
   const int64_t queue_depth = state.range(0);
   for (auto _ : state) {
@@ -108,12 +136,15 @@ BENCHMARK(BM_StealScan)->Arg(16)->Arg(256);
 // One steal attempt's victim side on an N-worker cluster with the paper's
 // 17% short partition: sample up to 10 general-partition victims
 // (StealingPolicy::ChooseVictimsInto, which also prefetches their records)
-// and screen them in contact order until one holds a stealable group. The
-// cluster is loaded like a busy Hawk run: 93% of general workers execute a
-// task (a tenth of them long) and 3% queue 1-4 entries (a fifth of them
-// long), so about one attempt in twelve finds a group (scale-1m: one in 14).
-// At 1M workers every screened victim is a cache miss, as on the scale-1m
-// benchmark workload; at 1,500 workers the cluster is cache-resident.
+// and screen them in contact order until one holds a stealable group, first
+// on the "short entry queued" bit and only then on the record, as
+// StealingPolicy::TryStealInto does. The cluster is loaded like a busy Hawk
+// run: 93% of general workers execute a task (a tenth of them long) and 3%
+// queue 1-4 entries (a fifth of them long), so about one attempt in twelve
+// finds a group (scale-1m: one in 14).
+// At 1M workers every victim that passes the bit is a cache miss, as on the
+// scale-1m benchmark workload; at 1,500 workers the cluster is
+// cache-resident.
 // Read-only, so every iteration sees the same state.
 void BM_StealVictimScreen(benchmark::State& state) {
   const auto num_workers = static_cast<uint32_t>(state.range(0));
@@ -140,7 +171,7 @@ void BM_StealVictimScreen(benchmark::State& state) {
     stealer.ChooseVictimsInto(cluster, thief, &victims);
     for (const hawk::WorkerId victim : victims) {
       ++screened;
-      if (workers.HasStealableGroup(victim)) {
+      if (workers.HasQueuedShort(victim) && workers.HasStealableGroup(victim)) {
         ++found;
         break;
       }

@@ -12,6 +12,8 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
   }
 
   recs_.resize(num_workers);
+  // Value-initialized: every bit starts clear, like every queue.
+  queued_short_ = std::make_unique<std::atomic<uint64_t>[]>((num_workers + size_t{63}) / 64);
 
   uniform_ = spec.Uniform() || spec.BigWorkerCount(num_workers) == 0;
   uniform_slots_ = spec.slots_per_worker;
@@ -87,6 +89,9 @@ size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
   // Everything moved is short.
   const size_t moved = end - begin;
   w.queue_short -= static_cast<uint32_t>(moved);
+  if (w.queue_short == 0) {
+    ClearQueuedShort(victim);
+  }
   ShardTotals& totals = totals_[ShardOf(victim)];
   HAWK_CHECK_GE(totals.queued, moved);
   totals.queued -= moved;

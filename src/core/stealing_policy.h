@@ -20,6 +20,19 @@
 // hold a stealable group. Both the simulation policies and the threaded
 // prototype's node monitors obtain their victim lists here
 // (ChooseVictimsInto); only the steal *execution* differs between the two.
+//
+// The simulation's steal execution (TryStealInto) screens each contacted
+// victim on its WorkerStore "short entry queued" bit before touching its
+// record: a victim with no short entry queued cannot hold a stealable group,
+// so it counts as a contact and is skipped. Draws, contacts, counters and
+// results are exactly those of calling StealGroupInto on every victim. At 1M
+// workers about 98% of contacts stop at the bit, which sits in a 128 KB
+// bitmap instead of a random line of the 64 MB record array.
+// ChooseVictimsInto still prefetches every victim's record, screened out or
+// not: making the prefetch depend on the bit adds a second unpredictable
+// branch per victim, and at 1,500 workers (where about a fifth of contacts
+// pass) that measured 8-10% slower end to end. The prefetch of a
+// screened-out victim is wasted but cheap, since no load waits on it.
 #ifndef HAWK_CORE_STEALING_POLICY_H_
 #define HAWK_CORE_STEALING_POLICY_H_
 
@@ -28,6 +41,7 @@
 
 #include "src/cluster/cluster.h"
 #include "src/cluster/results.h"
+#include "src/common/check.h"
 #include "src/common/random.h"
 
 namespace hawk {
@@ -118,9 +132,16 @@ class StealingPolicy {
     }
     counters->steal_attempts++;
     ChooseVictimsInto(cluster, thief, &victims_);
+    WorkerStore& workers = cluster.workers();
     for (const WorkerId victim : victims_) {
       counters->steal_victim_probes++;
-      const size_t stolen = cluster.workers().StealGroupInto(victim, thief);
+      // StealGroupInto's self-steal check, run for every contact, screened
+      // out or not.
+      HAWK_CHECK_NE(victim, thief) << "worker " << thief << " stealing from itself";
+      if (!workers.HasQueuedShort(victim)) {
+        continue;  // No short entry queued, so no stealable group.
+      }
+      const size_t stolen = workers.StealGroupInto(victim, thief);
       if (stolen > 0) {
         counters->steal_successes++;
         counters->entries_stolen += stolen;

@@ -65,14 +65,6 @@ inline void CpuRelax() {
 // that oversubscribes the machine does not spin at all (see Run).
 constexpr int kSpinIters = 1 << 16;
 
-// Shard boundaries are rounded to this many workers when shards are at least
-// 128x that size. Worker records are one cache line each, so any boundary
-// keeps neighbouring shards off each other's lines. Like the shard count
-// itself, the exact placement is non-semantic: the canonical (due, worker)
-// commit order is partition-independent, which shard_test pins across shard
-// counts.
-constexpr WorkerId kBoundaryAlignWorkers = 32;
-
 }  // namespace
 
 ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkConfig& config,
@@ -86,30 +78,21 @@ ShardedSimulationDriver::ShardedSimulationDriver(const Trace* trace, const HawkC
   // Contiguous shard boundaries balanced by slot capacity: shard s starts at
   // the first worker whose slot range reaches share s/S of the cluster's
   // slots, clamped so every shard keeps at least one worker. A pure function
-  // of the config, so identical across thread counts.
+  // of the config, so identical across thread counts. Like the shard count,
+  // the placement is non-semantic: the canonical (due, worker) commit order
+  // is partition-independent, which shard_test pins across shard counts.
   const WorkerStore& store = cluster_.workers();
   const uint32_t num_shards = config.sim_shards;
   const uint64_t total_slots = store.TotalSlots();
   shard_begin_.reserve(num_shards);
   shard_begin_.push_back(0);
-  // Large-cluster boundaries are additionally rounded to 32-worker multiples
-  // (see kBoundaryAlignWorkers).
-  const bool round_boundaries =
-      config.num_workers / num_shards >= kBoundaryAlignWorkers * 128;
   for (uint32_t s = 1; s < num_shards; ++s) {
     const uint64_t target = total_slots * s / num_shards;
     WorkerId w = shard_begin_.back() + 1;
     while (w < config.num_workers && static_cast<uint64_t>(store.SlotBegin(w)) < target) {
       ++w;
     }
-    const WorkerId max_begin = config.num_workers - (num_shards - s);
-    WorkerId begin = std::min(w, max_begin);
-    if (round_boundaries) {
-      const WorkerId rounded = (begin + kBoundaryAlignWorkers / 2) / kBoundaryAlignWorkers *
-                               kBoundaryAlignWorkers;
-      begin = std::min(std::max<WorkerId>(rounded, shard_begin_.back() + 1), max_begin);
-    }
-    shard_begin_.push_back(begin);
+    shard_begin_.push_back(std::min(w, config.num_workers - (num_shards - s)));
   }
   cluster_.workers().ConfigureShards(shard_begin_);
   shards_ = std::vector<Shard>(num_shards);

@@ -519,6 +519,96 @@ TEST(StealScanTest, RandomStatesMatchTheReferenceScan) {
   EXPECT_LT(states_with_group, 3600u);
 }
 
+// The "short entry queued" bit (HasQueuedShort) against a recount from the
+// ring, after every operation of a random sequence over every worker: it
+// must equal "the queue holds a short entry", and a stealable group implies
+// it (the steal path skips victims whose bit is clear). 130 workers span
+// three bitmap words; the sharded layouts put shard boundaries inside a word,
+// so the atomic write path is covered too.
+TEST(WorkerStoreTest, QueuedShortBitTracksTheQueue) {
+  constexpr uint32_t kWorkers = 130;
+  SlotSpec one_slot;
+  SlotSpec four_slots;
+  four_slots.slots_per_worker = 4;
+  SlotSpec hetero;
+  hetero.big_worker_fraction = 0.25;
+  hetero.big_worker_slots = 4;
+  Rng rng(29);
+  for (const SlotSpec& spec : {one_slot, four_slots, hetero}) {
+    for (const bool sharded : {false, true}) {
+      WorkerStore store(kWorkers, spec);
+      if (sharded) {
+        store.ConfigureShards({0, 37, 70, 100});
+      }
+      // Occupied slots per worker: (is a request, is long), for releasing
+      // them with the matching flags.
+      std::vector<std::vector<std::pair<bool, bool>>> occupied(kWorkers);
+      std::vector<QueueEntry> drained;
+      JobId next_job = 1;
+      size_t ops_with_group = 0;
+      for (int op = 0; op < 4000; ++op) {
+        const WorkerId w = static_cast<WorkerId>(rng.NextBounded(kWorkers));
+        const int64_t kind = rng.UniformInt(0, 9);
+        if (kind <= 2) {  // 30% enqueues against 20% pops and 20% steals.
+          const bool is_long = rng.Bernoulli(0.4);
+          store.Enqueue(w, rng.Bernoulli(0.5) ? QueueEntry::Probe(next_job, is_long)
+                                              : QueueEntry::Task(next_job, 0, 10, is_long));
+          ++next_job;
+        } else if (kind <= 4) {
+          if (!store.QueueEmpty(w)) {
+            store.PopFront(w);
+          }
+        } else if (kind <= 6) {
+          const WorkerId thief = static_cast<WorkerId>((w + 1 + rng.NextBounded(kWorkers - 1)) %
+                                                       kWorkers);
+          store.StealGroupInto(w, thief);
+        } else if (kind == 7) {
+          if (rng.Bernoulli(0.1)) {  // A crash: drain, then release every slot.
+            drained.clear();
+            store.DrainQueueInto(w, &drained);
+            store.ResetSlots(w);
+            occupied[w].clear();
+          }
+        } else if (kind == 8) {
+          if (store.HasFreeSlot(w)) {
+            const bool is_long = rng.Bernoulli(0.5);
+            const bool request = rng.Bernoulli(0.5);
+            if (request) {
+              store.BeginRequest(w, is_long);
+            } else {
+              store.BeginExecute(w, 0, QueueEntry::Task(next_job++, 0, 10, is_long));
+            }
+            occupied[w].emplace_back(request, is_long);
+          }
+        } else if (!occupied[w].empty()) {
+          const size_t i = rng.NextBounded(occupied[w].size());
+          const auto [request, is_long] = occupied[w][i];
+          if (request) {
+            store.ResolveRequest(w, is_long);
+          } else {
+            store.FinishExecute(w, is_long);
+          }
+          occupied[w].erase(occupied[w].begin() + static_cast<std::ptrdiff_t>(i));
+        }
+        for (WorkerId v = 0; v < kWorkers; ++v) {
+          bool holds_short = false;
+          for (size_t i = 0; i < store.QueueSize(v) && !holds_short; ++i) {
+            holds_short = !store.QueueAt(v, i).is_long;
+          }
+          ASSERT_EQ(store.HasQueuedShort(v), holds_short)
+              << "worker " << v << " after op " << op << " (kind " << kind << ")";
+          if (store.HasStealableGroup(v)) {
+            ASSERT_TRUE(store.HasQueuedShort(v)) << "worker " << v << " after op " << op;
+            ++ops_with_group;
+          }
+        }
+      }
+      // The sequences reach states where groups are stealable.
+      EXPECT_GT(ops_with_group, 0u);
+    }
+  }
+}
+
 // --- Cluster ----------------------------------------------------------------
 
 TEST(ClusterTest, PartitionLayout) {

@@ -7,6 +7,7 @@
 #include <deque>
 #include <functional>
 #include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -431,6 +432,111 @@ TEST(StealingPolicyTest, DChoiceContactsMostLoadedVictimFirst) {
     EXPECT_GE(cluster.workers().QueueSize(dchoice_victims[i - 1]),
               cluster.workers().QueueSize(dchoice_victims[i]));
   }
+}
+
+// TryStealInto screens victims on their "short entry queued" bit before
+// touching their records; the screen must be invisible. The reference below
+// contacts the same victims and calls StealGroupInto on each, unscreened.
+size_t UnscreenedSteal(StealingPolicy& policy, Cluster& cluster, WorkerId thief,
+                       RunCounters* counters, std::vector<WorkerId>* victims) {
+  if (policy.cap() == 0) {
+    return 0;
+  }
+  counters->steal_attempts++;
+  policy.ChooseVictimsInto(cluster, thief, victims);
+  for (const WorkerId victim : *victims) {
+    counters->steal_victim_probes++;
+    const size_t stolen = cluster.workers().StealGroupInto(victim, thief);
+    if (stolen > 0) {
+      counters->steal_successes++;
+      counters->entries_stolen += stolen;
+      return stolen;
+    }
+  }
+  return 0;
+}
+
+// A random cluster state, a pure function of `seed`: some slots occupied by
+// short or long work, and queues of 0-4 entries, half of the workers with no
+// short entry queued (the screen's case).
+void FillRandomState(Cluster* cluster, uint64_t seed) {
+  Rng rng(seed);
+  WorkerStore& workers = cluster->workers();
+  for (WorkerId w = 0; w < workers.NumWorkers(); ++w) {
+    while (workers.HasFreeSlot(w) && rng.Bernoulli(0.5)) {
+      const bool is_long = rng.Bernoulli(0.5);
+      if (rng.Bernoulli(0.5)) {
+        workers.BeginRequest(w, is_long);
+      } else {
+        workers.BeginExecute(w, 0, QueueEntry::Task(1, 0, 10, is_long));
+      }
+    }
+    const bool long_only = rng.Bernoulli(0.5);
+    for (int64_t i = rng.UniformInt(0, 4); i > 0; --i) {
+      const JobId job = static_cast<JobId>(w) * 8 + static_cast<JobId>(i);
+      workers.Enqueue(w, QueueEntry::Probe(job, long_only || rng.Bernoulli(0.4)));
+    }
+  }
+}
+
+void ExpectSameQueues(const WorkerStore& got, const WorkerStore& want) {
+  for (WorkerId w = 0; w < want.NumWorkers(); ++w) {
+    ASSERT_EQ(got.QueueSize(w), want.QueueSize(w)) << "worker " << w;
+    for (size_t i = 0; i < want.QueueSize(w); ++i) {
+      EXPECT_EQ(got.QueueAt(w, i).job, want.QueueAt(w, i).job) << "worker " << w;
+      EXPECT_EQ(got.QueueAt(w, i).is_long, want.QueueAt(w, i).is_long) << "worker " << w;
+    }
+  }
+}
+
+TEST(StealingPolicyTest, ScreenedStealMatchesUnscreenedReference) {
+  SlotSpec four_slots;
+  four_slots.slots_per_worker = 4;
+  SlotSpec hetero;
+  hetero.big_worker_fraction = 0.25;
+  hetero.big_worker_slots = 4;
+  uint64_t successes = 0;
+  uint64_t attempts = 0;
+  for (const SlotSpec& spec : {SlotSpec{}, four_slots, hetero}) {
+    for (const auto selection : {StealingPolicy::VictimSelection::kRandom,
+                                 StealingPolicy::VictimSelection::kDChoice}) {
+      for (uint64_t seed = 1; seed <= 20; ++seed) {
+        // 150 workers span three bitmap words; the last 20 are the short
+        // partition, so thieves come from both partitions.
+        Cluster screened(150, 130, spec);
+        Cluster reference(150, 130, spec);
+        FillRandomState(&screened, seed);
+        FillRandomState(&reference, seed);
+        StealingPolicy policy(/*cap=*/10, seed, selection);
+        StealingPolicy reference_policy(/*cap=*/10, seed, selection);
+        RunCounters got;
+        RunCounters want;
+        std::vector<WorkerId> victims;
+        Rng thieves(seed + 100);
+        for (int attempt = 0; attempt < 40; ++attempt) {
+          const WorkerId thief = static_cast<WorkerId>(thieves.NextBounded(150));
+          SCOPED_TRACE("seed " + std::to_string(seed) + " attempt " + std::to_string(attempt));
+          ASSERT_EQ(policy.TryStealInto(screened, thief, &got),
+                    UnscreenedSteal(reference_policy, reference, thief, &want, &victims));
+          ASSERT_EQ(got.steal_attempts, want.steal_attempts);
+          ASSERT_EQ(got.steal_victim_probes, want.steal_victim_probes);
+          ASSERT_EQ(got.steal_successes, want.steal_successes);
+          ASSERT_EQ(got.entries_stolen, want.entries_stolen);
+          ExpectSameQueues(screened.workers(), reference.workers());
+        }
+        attempts += got.steal_attempts;
+        successes += got.steal_successes;
+        // Both policies' streams sit at the same draw: the next samples match.
+        std::vector<WorkerId> next;
+        policy.ChooseVictimsInto(screened, /*thief=*/140, &next);
+        reference_policy.ChooseVictimsInto(reference, /*thief=*/140, &victims);
+        EXPECT_EQ(next, victims);
+      }
+    }
+  }
+  // Both outcomes are well represented.
+  EXPECT_GT(successes, attempts / 10);
+  EXPECT_LT(successes, attempts * 9 / 10);
 }
 
 }  // namespace
