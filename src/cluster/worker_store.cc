@@ -46,7 +46,7 @@ WorkerStore::WorkerStore(uint32_t num_workers, const SlotSpec& spec) {
   }
 }
 
-size_t WorkerStore::StealableGroupBegin(WorkerId id) const {
+StealRange WorkerStore::StealableGroup(WorkerId id) const {
   // O(1) screening on the record's counters: the group is made of short
   // entries, and (unless some occupied slot holds long work) needs a long
   // entry ahead of it in the queue.
@@ -54,21 +54,9 @@ size_t WorkerStore::StealableGroupBegin(WorkerId id) const {
   const size_t size = w.queue.Size();
   const bool occupied_long = w.occupied_long > 0;
   if (w.queue_short == 0 || (!occupied_long && w.queue_short == size)) {
-    return size;
+    return StealRange{size, size};
   }
-  // Scan [current work, queue...]; the group starts at the first short entry
-  // observed after at least one long entry.
-  bool seen_long = occupied_long;
-  for (size_t k = 0; k < size; ++k) {
-    if (w.queue.At(k).is_long) {
-      seen_long = true;
-      continue;
-    }
-    if (seen_long) {
-      return k;
-    }
-  }
-  return size;
+  return StealGroup(size, occupied_long, [&w](size_t k) { return w.queue.At(k).is_long; });
 }
 
 size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
@@ -76,15 +64,13 @@ size_t WorkerStore::StealGroupInto(WorkerId victim, WorkerId thief) {
   // never terminate; a policy that fails to exclude the thief from its
   // victim sample must fail fast instead.
   HAWK_CHECK_NE(victim, thief) << "worker " << thief << " stealing from itself";
-  const size_t begin = StealableGroupBegin(victim);
-  Rec& w = Record(victim);
-  if (begin == w.queue.Size()) {
+  const auto [begin, end] = StealableGroup(victim);
+  if (begin == end) {
     return 0;
   }
-  size_t end = begin;
-  while (end < w.queue.Size() && !w.queue.At(end).is_long) {
-    Enqueue(thief, w.queue.At(end));
-    ++end;
+  Rec& w = Record(victim);
+  for (size_t k = begin; k < end; ++k) {
+    Enqueue(thief, w.queue.At(k));
   }
   // Everything moved is short.
   const size_t moved = end - begin;

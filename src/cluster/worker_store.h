@@ -65,6 +65,7 @@
 #include <vector>
 
 #include "src/cluster/queue_entry.h"
+#include "src/cluster/steal_group.h"
 #include "src/common/check.h"
 #include "src/common/ring_buffer.h"
 #include "src/common/types.h"
@@ -318,7 +319,8 @@ class WorkerStore {
 
   // True iff the stealable group is non-empty.
   bool HasStealableGroup(WorkerId id) const {
-    return StealableGroupBegin(id) < QueueSize(id);
+    const StealRange group = StealableGroup(id);
+    return group.begin < group.end;
   }
 
   // --- accounting ---------------------------------------------------------
@@ -409,9 +411,9 @@ class WorkerStore {
     }
   }
 
-  // Index (FIFO position) of the first entry of the stealable group, or the
-  // queue size if none. Screens on the composition counters before scanning.
-  size_t StealableGroupBegin(WorkerId id) const;
+  // The stealable group's FIFO positions (steal_group.h). Screens on the
+  // composition counters before scanning.
+  StealRange StealableGroup(WorkerId id) const;
 
   std::vector<Rec> recs_;
 

@@ -21,16 +21,16 @@ FailureDetector::FailureDetector(uint32_t num_nodes,
   nodes_.assign(num_nodes, NodeState(seed));
 }
 
-void FailureDetector::Start(rpc::MessageBus* bus) {
+void FailureDetector::Start(MessageBus* bus) {
   HAWK_CHECK(bus != nullptr);
-  bus->Register(kDetectorAddress, [this](const rpc::BusMessage& message) {
-    HAWK_CHECK_EQ(message.type, static_cast<uint32_t>(kHeartbeat))
+  bus->Register(kDetectorAddress, [this](const BusMessage& message) {
+    HAWK_CHECK_EQ(message.type, kHeartbeat)
         << "failure detector got unexpected message type " << message.type;
-    OnHeartbeat(HeartbeatMsg::Decode(message.payload).node);
+    OnHeartbeat(std::get<HeartbeatMsg>(message.payload).node);
   });
 }
 
-void FailureDetector::OnHeartbeat(rpc::Address node) {
+void FailureDetector::OnHeartbeat(Address node) {
   std::lock_guard<std::mutex> lock(mu_);
   HAWK_CHECK_LT(node, nodes_.size()) << "heartbeat from unknown node " << node;
   NodeState& state = nodes_[node];
@@ -44,7 +44,7 @@ void FailureDetector::OnHeartbeat(rpc::Address node) {
   state.suspected = false;  // Any heartbeat rehabilitates — rejoin complete.
 }
 
-bool FailureDetector::Suspected(rpc::Address node) const {
+bool FailureDetector::Suspected(Address node) const {
   std::lock_guard<std::mutex> lock(mu_);
   HAWK_CHECK_LT(node, nodes_.size()) << "suspicion query for unknown node " << node;
   NodeState& state = nodes_[node];

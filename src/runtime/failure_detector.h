@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "src/core/adaptive_timeout.h"
-#include "src/rpc/message_bus.h"
+#include "src/runtime/message_bus.h"
 
 namespace hawk {
 namespace runtime {
@@ -39,11 +39,11 @@ class FailureDetector {
 
   // Registers the kHeartbeat handler at kDetectorAddress. Call before any
   // heartbeat traffic, like every other bus registration.
-  void Start(rpc::MessageBus* bus);
+  void Start(MessageBus* bus);
 
   // Whether `node` is currently suspected (silent past its adapted
   // threshold). Thread-safe; called from frontend and monitor threads.
-  bool Suspected(rpc::Address node) const;
+  bool Suspected(Address node) const;
 
   // Total alive -> suspected transitions observed so far.
   uint64_t suspicions() const { return suspicions_.load(std::memory_order_relaxed); }
@@ -59,7 +59,7 @@ class FailureDetector {
     bool suspected = false;  // Last verdict, for transition counting.
   };
 
-  void OnHeartbeat(rpc::Address node);
+  void OnHeartbeat(Address node);
 
   mutable std::mutex mu_;
   mutable std::vector<NodeState> nodes_;

@@ -1,9 +1,9 @@
-#include "src/rpc/message_bus.h"
+#include "src/runtime/message_bus.h"
 
 #include "src/common/check.h"
 
 namespace hawk {
-namespace rpc {
+namespace runtime {
 
 MessageBus::MessageBus(std::chrono::microseconds latency, uint32_t delivery_threads)
     : latency_(latency) {
@@ -19,7 +19,7 @@ MessageBus::~MessageBus() { Shutdown(); }
 void MessageBus::Register(Address address, Handler handler) {
   std::lock_guard<std::mutex> lock(mu_);
   HAWK_CHECK(handlers_.emplace(address, std::move(handler)).second)
-      << "duplicate rpc address " << address;
+      << "duplicate bus address " << address;
 }
 
 void MessageBus::EnableFaults(const FaultInjection& faults) {
@@ -33,7 +33,9 @@ void MessageBus::EnableFaults(const FaultInjection& faults) {
   fault_rng_ = Rng(faults.seed);
 }
 
-void MessageBus::Send(Address from, Address to, uint32_t type, std::vector<uint8_t> payload) {
+void MessageBus::Send(Address from, Address to, MessageType type, Message payload) {
+  HAWK_CHECK(CarriesType(type, payload))
+      << "message type " << type << " sent with payload alternative " << payload.index();
   std::lock_guard<std::mutex> lock(mu_);
   HAWK_CHECK(!shutdown_) << "send on stopped bus";
   auto deliver_at = std::chrono::steady_clock::now() + latency_;
@@ -75,7 +77,7 @@ void MessageBus::DeliveryLoop() {
     BusMessage message = std::move(const_cast<Pending&>(queue_.top()).message);
     queue_.pop();
     const auto it = handlers_.find(message.to);
-    HAWK_CHECK(it != handlers_.end()) << "no handler for rpc address " << message.to;
+    HAWK_CHECK(it != handlers_.end()) << "no handler for bus address " << message.to;
     Handler& handler = it->second;
     ++in_flight_;
     lock.unlock();
@@ -121,5 +123,5 @@ uint64_t MessageBus::MessagesDropped() const {
   return dropped_;
 }
 
-}  // namespace rpc
+}  // namespace runtime
 }  // namespace hawk

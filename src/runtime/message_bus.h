@@ -1,15 +1,15 @@
-// In-process RPC message bus with latency injection — the Thrift stand-in
-// for the prototype runtime (paper §3.8).
+// In-process message bus with latency injection — the Thrift stand-in for
+// the prototype runtime (paper §3.8).
 //
-// Endpoints register handlers under integer addresses. Senders enqueue
-// serialized payloads; a delivery thread dispatches each message to its
+// Endpoints register handlers under integer addresses. Senders enqueue typed
+// messages (proto_messages.h); a delivery thread dispatches each one to its
 // destination handler after the configured network latency. Handlers run on
 // the delivery thread, mirroring a Thrift server's worker; replies are just
 // messages sent back to the caller's address. One-way messages plus
 // request/response correlation ids cover everything the node monitors and
 // schedulers need.
-#ifndef HAWK_RPC_MESSAGE_BUS_H_
-#define HAWK_RPC_MESSAGE_BUS_H_
+#ifndef HAWK_RUNTIME_MESSAGE_BUS_H_
+#define HAWK_RUNTIME_MESSAGE_BUS_H_
 
 #include <chrono>
 #include <condition_variable>
@@ -22,18 +22,16 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/common/types.h"
+#include "src/runtime/proto_messages.h"
 
 namespace hawk {
-namespace rpc {
-
-using Address = uint32_t;
+namespace runtime {
 
 struct BusMessage {
   Address from = 0;
   Address to = 0;
-  uint32_t type = 0;  // Application-defined message type tag.
-  std::vector<uint8_t> payload;
+  MessageType type = kJobSubmit;
+  Message payload;
 };
 
 class MessageBus {
@@ -58,7 +56,7 @@ class MessageBus {
     double loss_rate = 0.0;
     std::chrono::microseconds jitter{0};
     uint64_t seed = 0;
-    std::function<bool(uint32_t type)> droppable;
+    std::function<bool(MessageType type)> droppable;
   };
 
   // Enables wire faults. Call before any traffic (like Register).
@@ -68,8 +66,9 @@ class MessageBus {
   // sent to that address. Not thread-safe against concurrent Send.
   void Register(Address address, Handler handler);
 
-  // Enqueues a message for delivery after the bus latency. Thread-safe.
-  void Send(Address from, Address to, uint32_t type, std::vector<uint8_t> payload);
+  // Enqueues a message for delivery after the bus latency. `payload` must
+  // hold the struct `type` carries (CarriesType). Thread-safe.
+  void Send(Address from, Address to, MessageType type, Message payload);
 
   // Blocks until every message enqueued so far has been delivered.
   void Drain();
@@ -114,7 +113,7 @@ class MessageBus {
   bool shutdown_ = false;
 };
 
-}  // namespace rpc
+}  // namespace runtime
 }  // namespace hawk
 
-#endif  // HAWK_RPC_MESSAGE_BUS_H_
+#endif  // HAWK_RUNTIME_MESSAGE_BUS_H_

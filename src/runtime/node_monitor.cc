@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/runtime/failure_detector.h"
@@ -15,7 +16,7 @@ namespace {
 
 // Capacity lookup for the constructor's init list; checks the layout exists
 // before anything dereferences it.
-uint32_t SlotsOf(const NodeMonitorConfig& config, rpc::Address address) {
+uint32_t SlotsOf(const NodeMonitorConfig& config, Address address) {
   HAWK_CHECK(config.layout != nullptr);
   HAWK_CHECK_LT(address, config.layout->NumWorkers());
   return config.layout->workers().Slots(address);
@@ -23,8 +24,8 @@ uint32_t SlotsOf(const NodeMonitorConfig& config, rpc::Address address) {
 
 }  // namespace
 
-NodeMonitor::NodeMonitor(rpc::Address address, const NodeMonitorConfig& config,
-                         rpc::MessageBus* bus, uint64_t seed)
+NodeMonitor::NodeMonitor(Address address, const NodeMonitorConfig& config,
+                         MessageBus* bus, uint64_t seed)
     : address_(address),
       config_(config),
       bus_(bus),
@@ -38,7 +39,7 @@ NodeMonitor::NodeMonitor(rpc::Address address, const NodeMonitorConfig& config,
 NodeMonitor::~NodeMonitor() { Stop(); }
 
 void NodeMonitor::Start() {
-  bus_->Register(address_, [this](const rpc::BusMessage& m) { HandleMessage(m); });
+  bus_->Register(address_, [this](const BusMessage& m) { HandleMessage(m); });
   executor_ = std::thread([this] { ExecutorLoop(); });
 }
 
@@ -105,10 +106,10 @@ void NodeMonitor::SendHeartbeat() {
       return;  // A dead node is silent — that silence IS the failure signal.
     }
   }
-  bus_->Send(address_, kDetectorAddress, kHeartbeat, HeartbeatMsg::From(address_).Encode());
+  bus_->Send(address_, kDetectorAddress, kHeartbeat, HeartbeatMsg::From(address_));
 }
 
-void NodeMonitor::HandleMessage(const rpc::BusMessage& message) {
+void NodeMonitor::HandleMessage(const BusMessage& message) {
   std::lock_guard<std::mutex> lock(mu_);
   if (stopping_ || crashed_) {
     // A crashed node is silent: probes and placed tasks die here (the
@@ -117,51 +118,47 @@ void NodeMonitor::HandleMessage(const rpc::BusMessage& message) {
   }
   switch (message.type) {
     case kProbe: {
-      Entry entry;
-      entry.is_probe = true;
-      entry.probe = ProbeMsg::Decode(message.payload);
+      const ProbeMsg& probe = std::get<ProbeMsg>(message.payload);
       // The frontend sampled a slot; it must be one of ours (stolen probes
       // bypass this path — they arrive inside kStealResponse).
-      HAWK_CHECK_EQ(config_.layout->WorkerOfSlot(entry.probe.slot), address_)
-          << "probe for slot " << entry.probe.slot << " misrouted to node " << address_;
-      queue_.push_back(entry);
+      HAWK_CHECK_EQ(config_.layout->WorkerOfSlot(probe.slot), address_)
+          << "probe for slot " << probe.slot << " misrouted to node " << address_;
+      queue_.push_back(probe);
       steal_round_exhausted_ = false;  // New work: future idleness may steal again.
       Advance();
       break;
     }
     case kTaskPlace: {
-      Entry entry;
-      entry.is_probe = false;
-      entry.task = TaskMsg::Decode(message.payload);
-      HAWK_CHECK_EQ(config_.layout->WorkerOfSlot(entry.task.slot), address_)
-          << "placed task for slot " << entry.task.slot << " misrouted to node " << address_;
-      queue_.push_back(entry);
+      const TaskMsg& task = std::get<TaskMsg>(message.payload);
+      HAWK_CHECK_EQ(config_.layout->WorkerOfSlot(task.slot), address_)
+          << "placed task for slot " << task.slot << " misrouted to node " << address_;
+      queue_.push_back(task);
       steal_round_exhausted_ = false;
       Advance();
       break;
     }
     case kTaskGrant: {
-      const TaskMsg task = TaskMsg::Decode(message.payload);
+      const TaskMsg& task = std::get<TaskMsg>(message.payload);
       // The request's slot converts directly into the execution slot.
       ResolveRequestLocked(task.job);
       StartTaskLocked(task, /*centrally_placed=*/false);
       break;
     }
     case kTaskCancel: {
-      const JobRefMsg cancel = JobRefMsg::Decode(message.payload);
+      const JobRefMsg& cancel = std::get<JobRefMsg>(message.payload);
       ResolveRequestLocked(cancel.job);
       Advance();
       break;
     }
     case kStealRequest: {
-      const StealRequestMsg request = StealRequestMsg::Decode(message.payload);
+      const StealRequestMsg& request = std::get<StealRequestMsg>(message.payload);
       StealResponseMsg response;
       response.probes = ExtractStealableLocked();
-      bus_->Send(address_, request.thief, kStealResponse, response.Encode());
+      bus_->Send(address_, request.thief, kStealResponse, std::move(response));
       break;
     }
     case kStealResponse: {
-      const StealResponseMsg response = StealResponseMsg::Decode(message.payload);
+      const StealResponseMsg& response = std::get<StealResponseMsg>(message.payload);
       steal_in_flight_ = false;
       if (!response.probes.empty()) {
         entries_stolen_.fetch_add(response.probes.size(), std::memory_order_relaxed);
@@ -169,12 +166,7 @@ void NodeMonitor::HandleMessage(const rpc::BusMessage& message) {
         steal_victims_.clear();
         next_victim_ = 0;
         steal_round_exhausted_ = false;
-        for (const ProbeMsg& probe : response.probes) {
-          Entry entry;
-          entry.is_probe = true;
-          entry.probe = probe;
-          queue_.push_back(entry);
-        }
+        queue_.insert(queue_.end(), response.probes.begin(), response.probes.end());
       } else if (next_victim_ >= steal_victims_.size()) {
         // Round over with nothing stolen: stay idle until new work appears
         // ("whenever a server is out of tasks" is one bounded round, §3.6).
@@ -193,22 +185,22 @@ void NodeMonitor::Advance() {
   // driver's TryDispatch): a task occupies a slot until its deadline; a
   // probe parks a slot on a late-binding request.
   while (free_slots_ > 0 && !queue_.empty()) {
-    const Entry entry = queue_.front();
+    const MonitorEntry entry = queue_.front();
     queue_.pop_front();
-    if (entry.is_probe) {
+    if (const ProbeMsg* probe = std::get_if<ProbeMsg>(&entry)) {
       --free_slots_;
       ++requesting_;
-      if (entry.probe.is_long) {
+      if (probe->is_long) {
         ++occupied_long_;
       }
-      auto& record = outstanding_[entry.probe.job];
+      auto& record = outstanding_[probe->job];
       ++record.first;
-      record.second = entry.probe.is_long;
-      const JobRefMsg request = JobRefMsg::TaskRequest(entry.probe.job, address_);
-      bus_->Send(address_, entry.probe.frontend, kTaskRequest, request.Encode());
+      record.second = probe->is_long;
+      const JobRefMsg request = JobRefMsg::TaskRequest(probe->job, address_);
+      bus_->Send(address_, probe->frontend, kTaskRequest, request);
       continue;
     }
-    StartTaskLocked(entry.task, /*centrally_placed=*/true);
+    StartTaskLocked(std::get<TaskMsg>(entry), /*centrally_placed=*/true);
   }
   if (free_slots_ > 0 && queue_.empty() && config_.stealing_enabled &&
       config_.steal_cap > 0) {
@@ -238,7 +230,7 @@ void NodeMonitor::StartTaskLocked(const TaskMsg& task, bool centrally_placed) {
     // waiting-time estimate on every start of a task it placed. The echoed
     // slot routes the feedback to the exact lane the backend charged.
     const JobRefMsg started = JobRefMsg::TaskStarted(task.job, address_, task.slot);
-    bus_->Send(address_, task.owner, kTaskStarted, started.Encode());
+    bus_->Send(address_, task.owner, kTaskStarted, started);
   }
   exec_cv_.notify_all();
 }
@@ -300,45 +292,26 @@ void NodeMonitor::TryStealLocked() {
       return;
     }
   }
-  const rpc::Address victim = steal_victims_[next_victim_++];
+  const Address victim = steal_victims_[next_victim_++];
   steal_in_flight_ = true;
   if (config_.steal_response_timeout.count() > 0) {
     steal_deadline_ = Clock::now() + config_.steal_response_timeout;
   }
-  bus_->Send(address_, victim, kStealRequest, StealRequestMsg::From(address_).Encode());
+  bus_->Send(address_, victim, kStealRequest, StealRequestMsg::From(address_));
 }
 
 std::vector<ProbeMsg> NodeMonitor::ExtractStealableLocked() {
-  // Mirror of WorkerStore::StealGroupInto (Fig. 3): the first
-  // consecutive group of short probes following a long entry in
-  // [occupied slots, queue...] order. Occupied long work — executing long
-  // tasks or in-flight long probes — counts like a long entry at the head,
-  // matching AnyOccupiedLong in the simulation.
+  // Occupied long work (executing long tasks or in-flight long probes)
+  // counts like a long entry at the head, as in the simulator.
+  const auto [begin, end] = StealGroupOf(queue_, occupied_long_ > 0);
   std::vector<ProbeMsg> stolen;
-  bool seen_long = occupied_long_ > 0;
-  const auto entry_is_long = [](const Entry& entry) {
-    return entry.is_probe ? entry.probe.is_long : entry.task.is_long;
-  };
-  size_t begin = queue_.size();
-  for (size_t i = 0; i < queue_.size(); ++i) {
-    if (entry_is_long(queue_[i])) {
-      seen_long = true;
-      continue;
-    }
-    if (seen_long) {
-      begin = i;
-      break;
-    }
-  }
-  // Only probes can be relocated over the wire; a concrete task ends the
-  // group (concrete short tasks never coexist with stealing under the
-  // current shapes, so this matches the simulator's group rule in practice).
-  size_t end = begin;
-  while (end < queue_.size() && queue_[end].is_probe && !queue_[end].probe.is_long) {
-    ++end;
-  }
-  for (size_t i = begin; i < end; ++i) {
-    stolen.push_back(queue_[i].probe);
+  for (size_t k = begin; k < end; ++k) {
+    // Only probes can move between monitors. RunPrototype rejects shapes
+    // that both place short tasks centrally and steal, so the group, being
+    // short, holds probes only.
+    const ProbeMsg* probe = std::get_if<ProbeMsg>(&queue_[k]);
+    HAWK_CHECK(probe != nullptr) << "concrete task in the steal group of node " << address_;
+    stolen.push_back(*probe);
   }
   queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(begin),
                queue_.begin() + static_cast<std::ptrdiff_t>(end));
@@ -378,7 +351,7 @@ void NodeMonitor::ExecutorLoop() {
         HAWK_CHECK_GT(occupied_long_, 0u);
         --occupied_long_;
       }
-      bus_->Send(address_, task.owner, kTaskDone, task.Encode());
+      bus_->Send(address_, task.owner, kTaskDone, task);
       Advance();
     }
   }

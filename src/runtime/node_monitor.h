@@ -21,19 +21,33 @@
 #include <queue>
 #include <thread>
 #include <unordered_map>
+#include <variant>
 #include <vector>
 
 #include "src/cluster/cluster.h"
+#include "src/cluster/steal_group.h"
 #include "src/common/random.h"
 #include "src/common/types.h"
 #include "src/core/stealing_policy.h"
-#include "src/rpc/message_bus.h"
+#include "src/runtime/message_bus.h"
 #include "src/runtime/proto_messages.h"
 
 namespace hawk {
 namespace runtime {
 
 class FailureDetector;
+
+// One entry of a node monitor's FIFO queue: a probe, or a task the backend
+// placed.
+using MonitorEntry = std::variant<ProbeMsg, TaskMsg>;
+
+// The stealable group of a monitor's queue: the simulator's Fig. 3 rule
+// (src/cluster/steal_group.h) over the monitor's entries.
+inline StealRange StealGroupOf(const std::deque<MonitorEntry>& queue, bool occupied_long) {
+  return StealGroup(queue.size(), occupied_long, [&queue](size_t k) {
+    return std::visit([](const auto& m) { return m.is_long; }, queue[k]);
+  });
+}
 
 struct NodeMonitorConfig {
   // The run's immutable cluster layout: worker slot counts, the general
@@ -61,7 +75,7 @@ struct NodeMonitorConfig {
 
 class NodeMonitor {
  public:
-  NodeMonitor(rpc::Address address, const NodeMonitorConfig& config, rpc::MessageBus* bus,
+  NodeMonitor(Address address, const NodeMonitorConfig& config, MessageBus* bus,
               uint64_t seed);
   ~NodeMonitor();
 
@@ -98,12 +112,6 @@ class NodeMonitor {
   DurationUs wasted_work_us() const { return wasted_work_us_.load(std::memory_order_relaxed); }
 
  private:
-  struct Entry {
-    bool is_probe = true;
-    ProbeMsg probe;  // Valid for probes.
-    TaskMsg task;    // Valid for tasks.
-  };
-
   // A task occupying a slot until its wall-clock deadline. `actual_us` is
   // the real slot occupancy — the nominal duration, or its straggler
   // stretch when the start was stricken.
@@ -118,7 +126,7 @@ class NodeMonitor {
     }
   };
 
-  void HandleMessage(const rpc::BusMessage& message);
+  void HandleMessage(const BusMessage& message);
   void ExecutorLoop();
 
   // Fills free slots from the queue, then considers stealing. Caller holds mu_.
@@ -131,13 +139,13 @@ class NodeMonitor {
   void ResolveRequestLocked(JobId job);
   // Starts or continues a steal round. Caller holds mu_.
   void TryStealLocked();
-  // Victim side: extract the first consecutive group of short probes after a
-  // long entry (Fig. 3). Caller holds mu_.
+  // Victim side: removes and returns the stealable group (Fig. 3). Caller
+  // holds mu_.
   std::vector<ProbeMsg> ExtractStealableLocked();
 
-  const rpc::Address address_;
+  const Address address_;
   const NodeMonitorConfig config_;
-  rpc::MessageBus* bus_;
+  MessageBus* bus_;
   // Shared steal-victim selection (same sampling and ordering as the
   // simulation policies); seeded per monitor.
   StealingPolicy stealing_;
@@ -147,7 +155,7 @@ class NodeMonitor {
 
   std::mutex mu_;
   std::condition_variable exec_cv_;
-  std::deque<Entry> queue_;
+  std::deque<MonitorEntry> queue_;
   // The monitor's capacity (layout slot count); free_slots_ starts here and
   // snaps back on crash.
   const uint32_t capacity_;

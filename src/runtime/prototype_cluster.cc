@@ -8,6 +8,7 @@
 #include <mutex>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/common/logging.h"
@@ -121,6 +122,14 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
       entry->general_count ? entry->general_count(config.hawk) : config.hawk.num_workers;
   const HawkConfig& hawk = config.hawk;
 
+  // Monitors can hand each other only probes, so a steal group must never
+  // hold a centrally placed short task.
+  if (shape.centralized_short && shape.stealing) {
+    return Status::Error("scheduler '" + config.scheduler +
+                         "' places short tasks centrally and steals; the prototype can "
+                         "steal only probes");
+  }
+
   // The immutable layout every runtime component shares: slot counts per
   // node, the general-partition boundary, and the slot-index space used by
   // probe placement and steal-victim sampling.
@@ -136,9 +145,9 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // runtime is wired exactly as before — no reaper, no fault controller, no
   // bus fault hook, no timeouts armed.
   const bool faults_on = hawk.FaultsEnabled();
-  rpc::MessageBus bus(std::chrono::microseconds(hawk.net_delay_us), kBusThreads);
+  MessageBus bus(std::chrono::microseconds(hawk.net_delay_us), kBusThreads);
   if (hawk.message_loss_rate > 0.0 || hawk.message_delay_jitter_us > 0) {
-    rpc::MessageBus::FaultInjection wire;
+    MessageBus::FaultInjection wire;
     wire.loss_rate = hawk.message_loss_rate;
     wire.jitter = std::chrono::microseconds(hawk.message_delay_jitter_us);
     wire.seed = Rng(hawk.seed ^ 0xD207B175ULL ^ (hawk.fault_seed * 0x9E3779B97F4A7C15ULL)).Next();
@@ -150,7 +159,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
     // cancel, or steal message would leak a monitor slot or wedge a
     // protocol round with no recovery path — that models a crashed
     // endpoint, which the crash axis injects properly.
-    wire.droppable = [](uint32_t type) {
+    wire.droppable = [](MessageType type) {
       return type == kProbe || type == kTaskPlace || type == kTaskDone ||
              type == kHeartbeat;
     };
@@ -345,7 +354,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
       const Clock::time_point due = start + std::chrono::microseconds(job.submit_time);
       std::this_thread::sleep_until(due);
       const JobClass cls = classifier.Classify(job);
-      const JobSubmitMsg submit = JobSubmitMsg::Make(
+      JobSubmitMsg submit = JobSubmitMsg::Make(
           job.id, cls.is_long_sched, std::llround(std::max(0.0, cls.estimate_us)),
           {job.task_durations.begin(), job.task_durations.end()});
       submit_times.emplace(job.id, Clock::now());
@@ -353,10 +362,10 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
       const bool to_backend =
           cls.is_long_sched ? shape.centralized_long : shape.centralized_short;
       if (to_backend) {
-        bus.Send(kBackendAddress, kBackendAddress, kJobSubmit, submit.Encode());
+        bus.Send(kBackendAddress, kBackendAddress, kJobSubmit, std::move(submit));
       } else {
-        const rpc::Address frontend = kFrontendBase + (next_frontend++ % config.num_frontends);
-        bus.Send(frontend, frontend, kJobSubmit, submit.Encode());
+        const Address frontend = kFrontendBase + (next_frontend++ % config.num_frontends);
+        bus.Send(frontend, frontend, kJobSubmit, std::move(submit));
       }
     }
   }

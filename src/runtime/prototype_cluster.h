@@ -84,8 +84,9 @@ struct PrototypeConfig {
 // Runs `trace` (already time-scaled to wall-clock-friendly durations) on the
 // prototype and returns the same RunResult shape the simulator produces, so
 // benches can compare prototype and simulation directly. An unknown
-// scheduler name or invalid config returns an error Status (runtime configs
-// often come from flags) instead of aborting.
+// scheduler name, an invalid config, or a shape the prototype cannot run
+// (short tasks placed centrally while monitors steal) returns an error
+// Status (runtime configs often come from flags) instead of aborting.
 StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& config);
 
 // Spec-driven entry point: the scheduler name, HawkConfig, and trace come

@@ -87,10 +87,10 @@ void RecoveryCounters::AddTo(RunCounters* counters) const {
 
 // --- DistributedFrontend ----------------------------------------------------
 
-DistributedFrontend::DistributedFrontend(rpc::Address address, const Cluster* layout,
+DistributedFrontend::DistributedFrontend(Address address, const Cluster* layout,
                                          const RuntimeShape& shape, uint32_t probe_ratio,
                                          const FaultRecoveryPolicy& faults,
-                                         rpc::MessageBus* bus, CompletionSink* sink,
+                                         MessageBus* bus, CompletionSink* sink,
                                          uint64_t seed, const FailureDetector* detector)
     : address_(address),
       layout_(layout),
@@ -106,7 +106,7 @@ DistributedFrontend::DistributedFrontend(rpc::Address address, const Cluster* la
 }
 
 void DistributedFrontend::Start() {
-  bus_->Register(address_, [this](const rpc::BusMessage& m) { HandleMessage(m); });
+  bus_->Register(address_, [this](const BusMessage& m) { HandleMessage(m); });
 }
 
 void DistributedFrontend::SendProbesLocked(JobId job, Ledger::Job& state, uint32_t count) {
@@ -131,7 +131,7 @@ void DistributedFrontend::SendProbesLocked(JobId job, Ledger::Job& state, uint32
       }
     }
     const ProbeMsg probe = ProbeMsg::Make(job, address_, slot, state.is_long);
-    bus_->Send(address_, layout_->WorkerOfSlot(slot), kProbe, probe.Encode());
+    bus_->Send(address_, layout_->WorkerOfSlot(slot), kProbe, probe);
   }
   if (ledger_.policy().enabled) {
     state.extra.probe_deadline =
@@ -139,18 +139,18 @@ void DistributedFrontend::SendProbesLocked(JobId job, Ledger::Job& state, uint32
   }
 }
 
-void DistributedFrontend::HandleMessage(const rpc::BusMessage& message) {
+void DistributedFrontend::HandleMessage(const BusMessage& message) {
   std::lock_guard<std::mutex> lock(mu_);
   switch (message.type) {
     case kJobSubmit: {
-      const JobSubmitMsg submit = JobSubmitMsg::Decode(message.payload);
+      const JobSubmitMsg& submit = std::get<JobSubmitMsg>(message.payload);
       Ledger::Job& state = ledger_.Admit(submit);
       SendProbesLocked(submit.job, state,
                        probe_ratio_ * static_cast<uint32_t>(state.tasks.size()));
       break;
     }
     case kTaskRequest: {
-      const JobRefMsg request = JobRefMsg::Decode(message.payload);
+      const JobRefMsg& request = std::get<JobRefMsg>(message.payload);
       const auto it = ledger_.owned().find(request.job);
       // No assignable task: either the job already completed and was
       // garbage-collected (surplus probes for it are still queued somewhere)
@@ -161,7 +161,7 @@ void DistributedFrontend::HandleMessage(const rpc::BusMessage& message) {
            it->second.extra.next_unassigned < it->second.tasks.size());
       if (!assignable) {
         const JobRefMsg cancel = JobRefMsg::TaskCancel(request.job, address_);
-        bus_->Send(address_, request.sender, kTaskCancel, cancel.Encode());
+        bus_->Send(address_, request.sender, kTaskCancel, cancel);
         break;
       }
       Ledger::Job& state = it->second;
@@ -180,11 +180,11 @@ void DistributedFrontend::HandleMessage(const rpc::BusMessage& message) {
       }
       const TaskMsg grant = TaskMsg::Grant(request.job, index, state.durations_us[index],
                                            state.is_long, address_);
-      bus_->Send(address_, request.sender, kTaskGrant, grant.Encode());
+      bus_->Send(address_, request.sender, kTaskGrant, grant);
       break;
     }
     case kTaskDone: {
-      const TaskMsg done = TaskMsg::Decode(message.payload);
+      const TaskMsg& done = std::get<TaskMsg>(message.payload);
       Ledger::Job* state = ledger_.Complete(done);
       if (state == nullptr) {
         break;
@@ -257,8 +257,8 @@ void DistributedFrontend::ReapOverdue() {
 
 // --- CentralBackend ---------------------------------------------------------
 
-CentralBackend::CentralBackend(rpc::Address address, const Cluster* layout,
-                               const FaultRecoveryPolicy& faults, rpc::MessageBus* bus,
+CentralBackend::CentralBackend(Address address, const Cluster* layout,
+                               const FaultRecoveryPolicy& faults, MessageBus* bus,
                                CompletionSink* sink)
     : address_(address),
       bus_(bus),
@@ -272,7 +272,7 @@ CentralBackend::CentralBackend(rpc::Address address, const Cluster* layout,
 }
 
 void CentralBackend::Start() {
-  bus_->Register(address_, [this](const rpc::BusMessage& m) { HandleMessage(m); });
+  bus_->Register(address_, [this](const BusMessage& m) { HandleMessage(m); });
 }
 
 void CentralBackend::PlaceTaskLocked(JobId job, Ledger::Job& state, uint32_t task_index) {
@@ -285,14 +285,14 @@ void CentralBackend::PlaceTaskLocked(JobId job, Ledger::Job& state, uint32_t tas
   // absorbed typical queue wait; a task parked deep in a busy queue can
   // still overrun it and be re-placed while alive.
   ledger_.Issue(job, state, task_index);
-  bus_->Send(address_, worker, kTaskPlace, place.Encode());
+  bus_->Send(address_, worker, kTaskPlace, place);
 }
 
-void CentralBackend::HandleMessage(const rpc::BusMessage& message) {
+void CentralBackend::HandleMessage(const BusMessage& message) {
   std::lock_guard<std::mutex> lock(mu_);
   switch (message.type) {
     case kJobSubmit: {
-      const JobSubmitMsg submit = JobSubmitMsg::Decode(message.payload);
+      const JobSubmitMsg& submit = std::get<JobSubmitMsg>(message.payload);
       Ledger::Job& state = ledger_.Admit(submit);
       state.extra.estimate_us = submit.estimate_us;
       for (uint32_t i = 0; i < state.tasks.size(); ++i) {
@@ -301,7 +301,7 @@ void CentralBackend::HandleMessage(const rpc::BusMessage& message) {
       break;
     }
     case kTaskStarted: {
-      const JobRefMsg started = JobRefMsg::Decode(message.payload);
+      const JobRefMsg& started = std::get<JobRefMsg>(message.payload);
       // Lane-routed feedback: the monitor echoes the lane charged at
       // placement, so delivery reorderings on the multi-threaded bus cannot
       // misattribute the estimate (see slot_waiting_queue.h). The estimate
@@ -325,7 +325,7 @@ void CentralBackend::HandleMessage(const rpc::BusMessage& message) {
       break;
     }
     case kTaskDone: {
-      const TaskMsg done = TaskMsg::Decode(message.payload);
+      const TaskMsg& done = std::get<TaskMsg>(message.payload);
       // Lane feedback first, and unconditionally: whichever copy finished
       // did start on the echoed lane, so the running count and waiting-time
       // estimate come back down even when the completion is a duplicate at

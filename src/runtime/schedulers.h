@@ -32,8 +32,8 @@
 #include "src/common/types.h"
 #include "src/core/adaptive_timeout.h"
 #include "src/core/slot_waiting_queue.h"
-#include "src/rpc/message_bus.h"
 #include "src/runtime/failure_detector.h"
+#include "src/runtime/message_bus.h"
 #include "src/runtime/proto_messages.h"
 #include "src/scheduler/policy.h"
 
@@ -318,9 +318,9 @@ class DistributedFrontend {
   // all runtime components.
   // `detector` (optional) steers probe placement away from currently
   // suspected nodes; null keeps placement detector-blind.
-  DistributedFrontend(rpc::Address address, const Cluster* layout, const RuntimeShape& shape,
+  DistributedFrontend(Address address, const Cluster* layout, const RuntimeShape& shape,
                       uint32_t probe_ratio, const FaultRecoveryPolicy& faults,
-                      rpc::MessageBus* bus, CompletionSink* sink, uint64_t seed,
+                      MessageBus* bus, CompletionSink* sink, uint64_t seed,
                       const FailureDetector* detector = nullptr);
 
   void Start();
@@ -338,17 +338,17 @@ class DistributedFrontend {
   const Ledger& ledger() const { return ledger_; }
 
  private:
-  void HandleMessage(const rpc::BusMessage& message);
+  void HandleMessage(const BusMessage& message);
   // Sends `count` fresh probes for `job` over the class's slot span,
   // steering individual draws away from detector-suspected nodes. Caller
   // holds mu_.
   void SendProbesLocked(JobId job, Ledger::Job& state, uint32_t count);
 
-  const rpc::Address address_;
+  const Address address_;
   const Cluster* layout_;
   const RuntimeShape shape_;
   const uint32_t probe_ratio_;
-  rpc::MessageBus* bus_;
+  MessageBus* bus_;
   const FailureDetector* detector_;
 
   std::mutex mu_;
@@ -374,8 +374,8 @@ class CentralBackend {
 
   // Tracks the general partition of `layout` — the whole cluster when the
   // policy registered no partition sizing.
-  CentralBackend(rpc::Address address, const Cluster* layout, const FaultRecoveryPolicy& faults,
-                 rpc::MessageBus* bus, CompletionSink* sink);
+  CentralBackend(Address address, const Cluster* layout, const FaultRecoveryPolicy& faults,
+                 MessageBus* bus, CompletionSink* sink);
 
   void Start();
 
@@ -389,12 +389,12 @@ class CentralBackend {
   const Ledger& ledger() const { return ledger_; }
 
  private:
-  void HandleMessage(const rpc::BusMessage& message);
+  void HandleMessage(const BusMessage& message);
   // Places one task through the waiting-time queue. Caller holds mu_.
   void PlaceTaskLocked(JobId job, Ledger::Job& state, uint32_t task_index);
 
-  const rpc::Address address_;
-  rpc::MessageBus* bus_;
+  const Address address_;
+  MessageBus* bus_;
 
   std::mutex mu_;
   // Guarded by mu_. Its adaptive window, unlike the frontend's, absorbs

@@ -4,6 +4,7 @@
 // utilization accounting, and late-binding job tracking.
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <utility>
 #include <vector>
 
@@ -11,6 +12,7 @@
 #include "src/cluster/job_tracker.h"
 #include "src/cluster/worker_store.h"
 #include "src/common/random.h"
+#include "src/runtime/node_monitor.h"
 #include "src/workload/google_trace.h"
 
 namespace hawk {
@@ -426,6 +428,20 @@ size_t CountLong(const std::vector<QueueEntry>& queue) {
   return n;
 }
 
+// The same queue as a prototype node monitor holds it.
+std::deque<runtime::MonitorEntry> MonitorQueueOf(const std::vector<QueueEntry>& queue) {
+  std::deque<runtime::MonitorEntry> out;
+  for (const QueueEntry& e : queue) {
+    if (e.kind == EntryKind::kProbe) {
+      out.push_back(runtime::ProbeMsg::Make(e.job, runtime::kFrontendBase, 0, e.is_long));
+    } else {
+      out.push_back(runtime::TaskMsg::Place(e.job, e.task_index, e.duration, e.is_long,
+                                            runtime::kBackendAddress, 0));
+    }
+  }
+  return out;
+}
+
 void ExpectSameEntries(const std::vector<QueueEntry>& got, const std::vector<QueueEntry>& want) {
   ASSERT_EQ(got.size(), want.size());
   for (size_t i = 0; i < got.size(); ++i) {
@@ -440,7 +456,8 @@ TEST(StealScanTest, RandomStatesMatchTheReferenceScan) {
   // execution or a long/short request; a queue of 0-12 long/short probes
   // and tasks whose ring head sits at a random offset, so entries (and
   // stolen groups) straddle the storage end. Steals repeat until nothing is
-  // left to take; each must move exactly the reference group.
+  // left to take; each must move exactly the reference group, and the
+  // prototype's scan over the same queue must find it too.
   Rng rng(26);
   size_t states_with_group = 0;
   for (int state = 0; state < 4000; ++state) {
@@ -487,6 +504,10 @@ TEST(StealScanTest, RandomStatesMatchTheReferenceScan) {
     while (true) {
       const auto [begin, end] = ReferenceGroup(model, occupied_long);
       ASSERT_EQ(store.HasStealableGroup(victim), begin < end) << "state " << state;
+      // A prototype node monitor holding the same queue finds the same group.
+      const StealRange monitor_group = runtime::StealGroupOf(MonitorQueueOf(model), occupied_long);
+      ASSERT_EQ(monitor_group.begin, begin) << "state " << state;
+      ASSERT_EQ(monitor_group.end, end) << "state " << state;
       const std::vector<QueueEntry> thief_before = QueueOf(store, thief);
       const size_t moved = store.StealGroupInto(victim, thief);
       ASSERT_EQ(moved, end - begin) << "state " << state;

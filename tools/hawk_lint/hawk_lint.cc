@@ -99,7 +99,7 @@ const std::vector<std::string>& DeterminismDirs() {
 // (e.g. fixture mini-trees). The real tree's single source of truth is
 // tools/hawk_lint/wallclock_allowlist.txt.
 const std::vector<std::string>& DefaultWallclockAllow() {
-  static const std::vector<std::string> kDirs = {"src/runtime", "src/rpc"};
+  static const std::vector<std::string> kDirs = {"src/runtime"};
   return kDirs;
 }
 
