@@ -3,6 +3,8 @@
 // registry replaced.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <set>
 #include <string>
@@ -283,6 +285,91 @@ TEST(HawkConfigFieldTest, OutOfRangeIntegerValuesAreRejected) {
   // Boundary values that are representable still work.
   EXPECT_TRUE(SetConfigField(&config, "num_workers", 4294967295.0).ok());
   EXPECT_EQ(config.num_workers, 4294967295u);
+}
+
+// A field's valid interval, written out here rather than read from the config
+// code so that a changed range shows up as a failing row. An infinite end
+// means the side is unbounded (up to the type's range for integer fields).
+struct FieldRange {
+  std::string_view name;
+  bool integer;     // Steps by 1 instead of by one ulp.
+  char lo_bracket;  // '[' closed, '(' open.
+  double lo;
+  double hi;
+  char hi_bracket;  // ']' closed, ')' open.
+};
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+constexpr FieldRange kFieldRanges[] = {
+    {"big_worker_fraction", false, '[', 0, 1, ']'},
+    {"cutoff_us", true, '[', 0, kInf, ']'},
+    {"estimate_noise_lo", false, '[', 0, kInf, ']'},
+    {"message_delay_jitter_us", true, '[', 0, kInf, ']'},
+    {"message_loss_rate", false, '[', 0, 1, ')'},
+    {"net_delay_us", true, '[', 0, kInf, ']'},
+    {"num_workers", true, '[', 1, kInf, ']'},
+    {"probe_ratio", true, '[', 1, kInf, ']'},
+    {"retry_budget", true, '[', 1, kInf, ']'},
+    {"short_partition_fraction", false, '[', 0, 1, ')'},
+    {"sim_shards", true, '[', 1, kInf, ']'},
+    {"slots_per_worker", true, '[', 1, 4096, ']'},
+    {"speculation_threshold", false, '[', 0, kInf, ']'},
+    {"steal_retry_interval_us", true, '[', 0, kInf, ']'},
+    {"straggler_rate", false, '[', 0, 1, ']'},
+    {"util_sample_period_us", true, '(', 0, kInf, ']'},
+    {"worker_churn_rate", false, '[', 0, kInf, ']'},
+    {"worker_crash_rate", false, '[', 0, kInf, ']'},
+};
+
+// Sets one field on `config` by name, then validates the result.
+Status SetAndValidate(HawkConfig config, std::string_view name, double value) {
+  const Status set = SetConfigField(&config, name, value);
+  return set.ok() ? config.Validate() : set;
+}
+
+TEST(HawkConfigFieldTest, EveryFieldEnforcesItsRange) {
+  // Satisfies every cross-field rule at every end below: big slots for a
+  // nonzero big-worker fraction, and room above any estimate_noise_lo.
+  HawkConfig base;
+  base.big_worker_slots = 1;
+  base.estimate_noise_hi = kInf;
+  ASSERT_TRUE(base.Validate().ok());
+
+  for (const FieldRange& range : kFieldRanges) {
+    const std::string name(range.name);
+    const auto expect = [&](double value, bool accepted) {
+      const Status status = SetAndValidate(base, name, value);
+      EXPECT_EQ(status.ok(), accepted) << name << " = " << value << ": " << status.message();
+      if (!status.ok()) {
+        EXPECT_NE(status.message().find(name), std::string::npos) << status.message();
+      }
+    };
+    const auto step = [&](double end, double toward) {
+      return range.integer ? end + (toward > end ? 1.0 : -1.0) : std::nextafter(end, toward);
+    };
+    if (std::isfinite(range.lo)) {
+      const bool open = range.lo_bracket == '(';
+      expect(range.lo, !open);
+      expect(step(range.lo, -kInf), false);
+      if (open) {
+        expect(step(range.lo, kInf), true);
+      }
+    }
+    if (std::isfinite(range.hi)) {
+      const bool open = range.hi_bracket == ')';
+      expect(range.hi, !open);
+      expect(step(range.hi, kInf), false);
+      if (open) {
+        expect(step(range.hi, -kInf), true);
+      }
+    } else if (!range.integer) {
+      expect(kInf, true);
+    }
+    if (!range.integer) {
+      expect(std::numeric_limits<double>::quiet_NaN(), false);
+    }
+  }
 }
 
 TEST(ExperimentDeathTest, InvalidConfigFailsLoudly) {
