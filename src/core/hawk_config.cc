@@ -1,34 +1,94 @@
 #include "src/core/hawk_config.h"
 
-#include <algorithm>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <type_traits>
+#include <variant>
 
 namespace hawk {
 namespace {
 
-// Range-checked narrowing: an out-of-range double -> integer cast is UB and
-// would silently bypass Validate()'s fail-loudly contract (e.g.
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// One end of a field's valid interval.
+struct End {
+  double at;
+  bool open;
+};
+
+constexpr End Closed(double at) { return {at, false}; }
+constexpr End Open(double at) { return {at, true}; }
+
+// The member's type decides how SetConfigField converts a double into it.
+using Member = std::variant<uint32_t HawkConfig::*, uint64_t HawkConfig::*, int64_t HawkConfig::*,
+                            double HawkConfig::*, bool HawkConfig::*>;
+
+// A field's name, where it lives, and the interval Validate() holds it to.
+// A row whose ends are both infinite is unconstrained (NaN included); any
+// other row rejects NaN.
+struct FieldRow {
+  std::string_view name;
+  Member member;
+  End lo = Closed(-kInf);
+  End hi = Closed(kInf);
+};
+
+// One row per field, sorted by name; ConfigFieldNames() returns this order.
+// Rows with no interval are either free or held by a cross-field rule in
+// Validate().
+constexpr FieldRow kFields[] = {
+    {"big_worker_fraction", &HawkConfig::big_worker_fraction, Closed(0), Closed(1)},
+    {"big_worker_slots", &HawkConfig::big_worker_slots},
+    {"cutoff_us", &HawkConfig::cutoff_us, Closed(0)},
+    {"estimate_noise_hi", &HawkConfig::estimate_noise_hi},
+    {"estimate_noise_lo", &HawkConfig::estimate_noise_lo, Closed(0)},
+    {"fault_seed", &HawkConfig::fault_seed},
+    {"message_delay_jitter_us", &HawkConfig::message_delay_jitter_us, Closed(0)},
+    // Loss strictly below 1: retransmission terminates with probability 1 and
+    // the expected retry chain stays finite.
+    {"message_loss_rate", &HawkConfig::message_loss_rate, Closed(0), Open(1)},
+    {"net_delay_us", &HawkConfig::net_delay_us, Closed(0)},
+    {"num_workers", &HawkConfig::num_workers, Closed(1)},
+    {"probe_ratio", &HawkConfig::probe_ratio, Closed(1)},
+    {"retry_budget", &HawkConfig::retry_budget, Closed(1)},
+    {"seed", &HawkConfig::seed},
+    {"short_partition_fraction", &HawkConfig::short_partition_fraction, Closed(0), Open(1)},
+    {"sim_shards", &HawkConfig::sim_shards, Closed(1)},
+    {"sim_threads", &HawkConfig::sim_threads},
+    {"slots_per_worker", &HawkConfig::slots_per_worker, Closed(1), Closed(kMaxSlotsPerWorker)},
+    {"speculation_threshold", &HawkConfig::speculation_threshold, Closed(0)},
+    {"steal_cap", &HawkConfig::steal_cap},
+    {"steal_retry_interval_us", &HawkConfig::steal_retry_interval_us, Closed(0)},
+    {"straggler_rate", &HawkConfig::straggler_rate, Closed(0), Closed(1)},
+    {"straggler_slowdown_factor", &HawkConfig::straggler_slowdown_factor},
+    {"use_centralized_long", &HawkConfig::use_centralized_long},
+    {"use_partition", &HawkConfig::use_partition},
+    {"use_stealing", &HawkConfig::use_stealing},
+    {"util_sample_period_us", &HawkConfig::util_sample_period_us, Open(0)},
+    {"worker_churn_rate", &HawkConfig::worker_churn_rate, Closed(0)},
+    {"worker_crash_rate", &HawkConfig::worker_crash_rate, Closed(0)},
+    {"worker_downtime_us", &HawkConfig::worker_downtime_us},
+};
+
+constexpr bool SortedAndUnique(size_t i = 1) {
+  return i >= std::size(kFields) ||
+         (kFields[i - 1].name < kFields[i].name && SortedAndUnique(i + 1));
+}
+static_assert(SortedAndUnique(), "kFields must be sorted by name, with no duplicates");
+
+// Stores `value` into `field`; false when the field's type cannot hold it.
+// Integer fields truncate, and a bool is true when `value` is nonzero. The
+// integer range check matters: an out-of-range double -> integer cast is UB
+// and would silently bypass Validate()'s fail-loudly contract (e.g.
 // Vary("probe_ratio", {-1}) wrapping to 4294967295 and passing validation).
 template <typename T>
-bool SetIntegerField(T* field, double value) {
-  // Exact bounds: 2^63 and 2^64 are representable doubles; the max itself
-  // is not (for int64/uint64), so use half-open upper bounds.
-  if (value != value) {  // NaN.
-    return false;
-  }
-  if constexpr (std::is_same_v<T, uint32_t>) {
-    if (value < 0.0 || value >= 4294967296.0) {
-      return false;
-    }
-  } else if constexpr (std::is_same_v<T, uint64_t>) {
-    if (value < 0.0 || value >= 18446744073709551616.0) {
-      return false;
-    }
-  } else {
-    static_assert(std::is_same_v<T, int64_t>);
-    if (value < -9223372036854775808.0 || value >= 9223372036854775808.0) {
+bool Assign(T* field, double value) {
+  if constexpr (std::is_integral_v<T> && !std::is_same_v<T, bool>) {
+    // [min, 2^digits): both ends are exact doubles, unlike the type's max.
+    constexpr double kLowest = static_cast<double>(std::numeric_limits<T>::min());
+    constexpr double kBeyond = 2.0 * static_cast<double>(std::numeric_limits<T>::max() / 2 + 1);
+    if (!(value >= kLowest && value < kBeyond)) {  // NaN fails too.
       return false;
     }
   }
@@ -36,109 +96,26 @@ bool SetIntegerField(T* field, double value) {
   return true;
 }
 
-// One row per sweepable field; `set` returns false when the value cannot be
-// represented in the field. Kept sorted by name; ConfigFieldNames() returns
-// them in this order.
-struct FieldSetter {
-  std::string_view name;
-  bool (*set)(HawkConfig&, double);
-};
-
-constexpr FieldSetter kFields[] = {
-    {"big_worker_fraction",
-     [](HawkConfig& c, double v) {
-       c.big_worker_fraction = v;
-       return true;
-     }},
-    {"big_worker_slots",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.big_worker_slots, v); }},
-    {"cutoff_us", [](HawkConfig& c, double v) { return SetIntegerField(&c.cutoff_us, v); }},
-    {"estimate_noise_hi",
-     [](HawkConfig& c, double v) {
-       c.estimate_noise_hi = v;
-       return true;
-     }},
-    {"estimate_noise_lo",
-     [](HawkConfig& c, double v) {
-       c.estimate_noise_lo = v;
-       return true;
-     }},
-    {"fault_seed", [](HawkConfig& c, double v) { return SetIntegerField(&c.fault_seed, v); }},
-    {"message_delay_jitter_us",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.message_delay_jitter_us, v); }},
-    {"message_loss_rate",
-     [](HawkConfig& c, double v) {
-       c.message_loss_rate = v;
-       return true;
-     }},
-    {"net_delay_us",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.net_delay_us, v); }},
-    {"num_workers",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.num_workers, v); }},
-    {"probe_ratio",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.probe_ratio, v); }},
-    {"retry_budget",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.retry_budget, v); }},
-    {"seed", [](HawkConfig& c, double v) { return SetIntegerField(&c.seed, v); }},
-    {"short_partition_fraction",
-     [](HawkConfig& c, double v) {
-       c.short_partition_fraction = v;
-       return true;
-     }},
-    {"sim_shards",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_shards, v); }},
-    {"sim_threads",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.sim_threads, v); }},
-    {"slots_per_worker",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.slots_per_worker, v); }},
-    {"speculation_threshold",
-     [](HawkConfig& c, double v) {
-       c.speculation_threshold = v;
-       return true;
-     }},
-    {"steal_cap", [](HawkConfig& c, double v) { return SetIntegerField(&c.steal_cap, v); }},
-    {"steal_retry_interval_us",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.steal_retry_interval_us, v); }},
-    {"straggler_rate",
-     [](HawkConfig& c, double v) {
-       c.straggler_rate = v;
-       return true;
-     }},
-    {"straggler_slowdown_factor",
-     [](HawkConfig& c, double v) {
-       c.straggler_slowdown_factor = v;
-       return true;
-     }},
-    {"use_centralized_long",
-     [](HawkConfig& c, double v) {
-       c.use_centralized_long = v != 0.0;
-       return true;
-     }},
-    {"use_partition",
-     [](HawkConfig& c, double v) {
-       c.use_partition = v != 0.0;
-       return true;
-     }},
-    {"use_stealing",
-     [](HawkConfig& c, double v) {
-       c.use_stealing = v != 0.0;
-       return true;
-     }},
-    {"util_sample_period_us",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.util_sample_period_us, v); }},
-    {"worker_churn_rate",
-     [](HawkConfig& c, double v) {
-       c.worker_churn_rate = v;
-       return true;
-     }},
-    {"worker_crash_rate",
-     [](HawkConfig& c, double v) {
-       c.worker_crash_rate = v;
-       return true;
-     }},
-    {"worker_downtime_us",
-     [](HawkConfig& c, double v) { return SetIntegerField(&c.worker_downtime_us, v); }},
-};
+// The row's interval check on `member`, written so that NaN fails every
+// comparison.
+template <typename T>
+Status CheckRange(const HawkConfig& config, T HawkConfig::*member, const FieldRow& row) {
+  if (row.lo.at == -kInf && row.hi.at == kInf) {
+    return Status::Ok();
+  }
+  // An infinite end of an integer field is the type's own limit.
+  using Limits = std::numeric_limits<T>;
+  const T lo = Limits::is_integer && row.lo.at == -kInf ? Limits::min() : static_cast<T>(row.lo.at);
+  const T hi = Limits::is_integer && row.hi.at == kInf ? Limits::max() : static_cast<T>(row.hi.at);
+  const T value = config.*member;
+  if ((row.lo.open ? value > lo : value >= lo) && (row.hi.open ? value < hi : value <= hi)) {
+    return Status::Ok();
+  }
+  std::ostringstream message;
+  message << row.name << " must be in " << (row.lo.open ? '(' : '[') << lo << ", " << hi
+          << (row.hi.open ? ')' : ']') << ", got " << value;
+  return Status::Error(message.str());
+}
 
 }  // namespace
 
@@ -153,103 +130,38 @@ uint32_t HawkConfig::GeneralCount() const {
 }
 
 Status HawkConfig::Validate() const {
-  if (num_workers == 0) {
-    return Status::Error("num_workers must be nonzero");
-  }
-  if (probe_ratio < 1) {
-    return Status::Error("probe_ratio must be >= 1 (got 0)");
-  }
-  if (slots_per_worker < 1 || slots_per_worker > kMaxSlotsPerWorker) {
-    return Status::Error("slots_per_worker must be in [1, " +
-                         std::to_string(kMaxSlotsPerWorker) + "], got " +
-                         std::to_string(slots_per_worker));
-  }
-  if (!(big_worker_fraction >= 0.0 && big_worker_fraction <= 1.0)) {
-    return Status::Error("big_worker_fraction must be in [0, 1], got " +
-                         std::to_string(big_worker_fraction));
-  }
-  if (big_worker_fraction > 0.0 &&
-      (big_worker_slots < 1 || big_worker_slots > kMaxSlotsPerWorker)) {
-    return Status::Error("big_worker_slots must be in [1, " +
-                         std::to_string(kMaxSlotsPerWorker) +
-                         "] when big_worker_fraction > 0, got " +
-                         std::to_string(big_worker_slots));
-  }
-  {
-    // Exact layout total (not a worst-case bound): heterogeneous fleets are
-    // rejected only when their actual slot count overflows.
-    const SlotSpec spec = Slots();
-    const uint64_t big = spec.BigWorkerCount(num_workers);
-    const uint64_t total = (static_cast<uint64_t>(num_workers) - big) * slots_per_worker +
-                           big * big_worker_slots;
-    if (total > std::numeric_limits<uint32_t>::max()) {
-      return Status::Error("total slot count (" + std::to_string(total) +
-                           ") overflows the 32-bit slot-index space");
+  for (const FieldRow& row : kFields) {
+    const auto check = [&](auto member) { return CheckRange(*this, member, row); };
+    if (Status status = std::visit(check, row.member); !status.ok()) {
+      return status;
     }
   }
-  if (!(short_partition_fraction >= 0.0 && short_partition_fraction < 1.0)) {
-    return Status::Error("short_partition_fraction must be in [0, 1), got " +
-                         std::to_string(short_partition_fraction));
+  // Cross-field rules.
+  if (big_worker_fraction > 0.0 &&
+      (big_worker_slots < 1 || big_worker_slots > kMaxSlotsPerWorker)) {
+    return Status::Error("big_worker_slots must be in [1, " + std::to_string(kMaxSlotsPerWorker) +
+                         "] when big_worker_fraction > 0, got " + std::to_string(big_worker_slots));
   }
-  if (!(estimate_noise_lo >= 0.0)) {
-    return Status::Error("estimate_noise_lo must be >= 0, got " +
-                         std::to_string(estimate_noise_lo));
+  // Exact layout total (not a worst-case bound): heterogeneous fleets are
+  // rejected only when their actual slot count overflows.
+  const uint64_t big = Slots().BigWorkerCount(num_workers);
+  const uint64_t total =
+      (static_cast<uint64_t>(num_workers) - big) * slots_per_worker + big * big_worker_slots;
+  if (total > std::numeric_limits<uint32_t>::max()) {
+    return Status::Error("total slot count (" + std::to_string(total) +
+                         ") overflows the 32-bit slot-index space");
   }
   if (!(estimate_noise_lo <= estimate_noise_hi)) {
     return Status::Error("estimate_noise_lo (" + std::to_string(estimate_noise_lo) +
                          ") must be <= estimate_noise_hi (" + std::to_string(estimate_noise_hi) +
                          ")");
   }
-  if (cutoff_us < 0) {
-    return Status::Error("cutoff_us must be >= 0");
-  }
-  if (net_delay_us < 0) {
-    return Status::Error("net_delay_us must be >= 0");
-  }
-  if (steal_retry_interval_us < 0) {
-    return Status::Error("steal_retry_interval_us must be >= 0");
-  }
-  if (util_sample_period_us <= 0) {
-    return Status::Error("util_sample_period_us must be > 0");
-  }
-  if (!(worker_crash_rate >= 0.0)) {
-    return Status::Error("worker_crash_rate must be >= 0, got " +
-                         std::to_string(worker_crash_rate));
-  }
-  if (!(worker_churn_rate >= 0.0)) {
-    return Status::Error("worker_churn_rate must be >= 0, got " +
-                         std::to_string(worker_churn_rate));
-  }
   if ((worker_crash_rate > 0.0 || worker_churn_rate > 0.0) && worker_downtime_us <= 0) {
     return Status::Error("worker_downtime_us must be > 0 when crash/churn rates are set");
   }
-  // Loss strictly below 1: retransmission terminates with probability 1 and
-  // the expected retry chain stays finite.
-  if (!(message_loss_rate >= 0.0 && message_loss_rate < 1.0)) {
-    return Status::Error("message_loss_rate must be in [0, 1), got " +
-                         std::to_string(message_loss_rate));
-  }
-  if (message_delay_jitter_us < 0) {
-    return Status::Error("message_delay_jitter_us must be >= 0");
-  }
-  if (!(straggler_rate >= 0.0 && straggler_rate <= 1.0)) {
-    return Status::Error("straggler_rate must be in [0, 1], got " +
-                         std::to_string(straggler_rate));
-  }
   if (straggler_rate > 0.0 && !(straggler_slowdown_factor > 1.0)) {
-    return Status::Error(
-        "straggler_slowdown_factor must be > 1 when straggler_rate > 0, got " +
-        std::to_string(straggler_slowdown_factor));
-  }
-  if (!(speculation_threshold >= 0.0)) {
-    return Status::Error("speculation_threshold must be >= 0, got " +
-                         std::to_string(speculation_threshold));
-  }
-  if (retry_budget < 1) {
-    return Status::Error("retry_budget must be >= 1 (got 0)");
-  }
-  if (sim_shards < 1) {
-    return Status::Error("sim_shards must be >= 1 (got 0)");
+    return Status::Error("straggler_slowdown_factor must be > 1 when straggler_rate > 0, got " +
+                         std::to_string(straggler_slowdown_factor));
   }
   if (sim_shards > 1) {
     if (sim_shards > num_workers) {
@@ -269,9 +181,9 @@ Status HawkConfig::Validate() const {
 }
 
 Status SetConfigField(HawkConfig* config, std::string_view field, double value) {
-  for (const FieldSetter& setter : kFields) {
-    if (setter.name == field) {
-      if (!setter.set(*config, value)) {
+  for (const FieldRow& row : kFields) {
+    if (row.name == field) {
+      if (!std::visit([&](auto member) { return Assign(&(config->*member), value); }, row.member)) {
         return Status::Error("value " + std::to_string(value) +
                              " is out of range for config field '" + std::string(field) + "'");
       }
@@ -279,19 +191,18 @@ Status SetConfigField(HawkConfig* config, std::string_view field, double value) 
     }
   }
   std::string known;
-  for (const FieldSetter& setter : kFields) {
+  for (const FieldRow& row : kFields) {
     known += known.empty() ? "" : ", ";
-    known += setter.name;
+    known += row.name;
   }
-  return Status::Error("unknown config field '" + std::string(field) + "'; known fields: " +
-                       known);
+  return Status::Error("unknown config field '" + std::string(field) + "'; known fields: " + known);
 }
 
 std::vector<std::string_view> ConfigFieldNames() {
   std::vector<std::string_view> names;
   names.reserve(std::size(kFields));
-  for (const FieldSetter& setter : kFields) {
-    names.push_back(setter.name);
+  for (const FieldRow& row : kFields) {
+    names.push_back(row.name);
   }
   return names;
 }
