@@ -42,7 +42,8 @@ constexpr FieldRow kFields[] = {
     {"big_worker_slots", &HawkConfig::big_worker_slots},
     {"cutoff_us", &HawkConfig::cutoff_us, Closed(0)},
     {"estimate_noise_hi", &HawkConfig::estimate_noise_hi},
-    {"estimate_noise_lo", &HawkConfig::estimate_noise_lo, Closed(0)},
+    // The Estimator behind both executors' classifiers CHECKs lo > 0.
+    {"estimate_noise_lo", &HawkConfig::estimate_noise_lo, Open(0)},
     {"fault_seed", &HawkConfig::fault_seed},
     {"message_delay_jitter_us", &HawkConfig::message_delay_jitter_us, Closed(0)},
     // Loss strictly below 1: retransmission terminates with probability 1 and

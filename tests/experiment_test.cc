@@ -304,7 +304,7 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr FieldRange kFieldRanges[] = {
     {"big_worker_fraction", false, '[', 0, 1, ']'},
     {"cutoff_us", true, '[', 0, kInf, ']'},
-    {"estimate_noise_lo", false, '[', 0, kInf, ']'},
+    {"estimate_noise_lo", false, '(', 0, kInf, ']'},
     {"message_delay_jitter_us", true, '[', 0, kInf, ']'},
     {"message_loss_rate", false, '[', 0, 1, ')'},
     {"net_delay_us", true, '[', 0, kInf, ']'},
@@ -370,6 +370,23 @@ TEST(HawkConfigFieldTest, EveryFieldEnforcesItsRange) {
       expect(std::numeric_limits<double>::quiet_NaN(), false);
     }
   }
+}
+
+// A zero lower noise bound used to pass Validate and then abort inside the
+// Estimator; it is now a clean Status, and a small positive bound runs.
+TEST(HawkConfigValidateTest, EstimateNoiseLoMustBePositive) {
+  HawkConfig config = SmallConfig();
+  config.classify_mode = ClassifyMode::kCutoff;
+  config.estimate_noise_lo = 0.0;
+  const Status status = config.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("estimate_noise_lo"), std::string::npos) << status.message();
+
+  config.estimate_noise_lo = 0.01;
+  config.estimate_noise_hi = 1.0;
+  ASSERT_TRUE(config.Validate().ok());
+  const RunResult result = RunExperiment(MakeTrace(40, 3), config, "hawk");
+  EXPECT_EQ(result.jobs.size(), 40u);
 }
 
 TEST(ExperimentDeathTest, InvalidConfigFailsLoudly) {
