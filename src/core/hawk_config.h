@@ -160,8 +160,10 @@ struct HawkConfig {
            straggler_rate > 0.0;
   }
 
-  // Sanity-checks the configuration; run entry points call this so a bad
-  // config fails loudly instead of silently producing a nonsense run.
+  // Sanity-checks the configuration: every field against its valid interval
+  // in the field table (hawk_config.cc), then the cross-field rules. Run
+  // entry points call this so a bad config fails loudly instead of silently
+  // producing a nonsense run.
   Status Validate() const;
 
   // Size of the general partition (workers [0, GeneralCount())), sized by
@@ -180,7 +182,8 @@ struct HawkConfig {
 
 // Named numeric access to HawkConfig fields — the hook SweepSpec::Vary uses
 // to declare sweep axes by field name. Integer fields truncate the double;
-// boolean toggles treat nonzero as true. Unknown names return an error.
+// boolean toggles treat nonzero as true. Unknown names, and values an integer
+// field's type cannot hold (NaN included), return an error.
 Status SetConfigField(HawkConfig* config, std::string_view field, double value);
 
 // All field names SetConfigField accepts, sorted.
