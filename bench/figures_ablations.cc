@@ -110,23 +110,16 @@ int PartitionSize(const Flags& flags) {
       "nodes). Task-seconds rule gives " +
       Table::Pct(rule_fraction) + " (paper uses 17%)");
 
-  // The fraction axis needs a paired edit (0% also disables the partition),
-  // so it is a VaryConfig axis rather than a plain field Vary.
-  Mutators points;
-  for (const double fraction : {0.0, 0.05, 0.10, 0.17, 0.25, 0.35, 0.50}) {
-    points.emplace_back(Table::Pct(fraction, 0), [fraction](HawkConfig& c) {
-      c.short_partition_fraction = fraction;
-      c.use_partition = fraction > 0.0;
-    });
-  }
+  // 0% is Hawk without the partition (§4.4): the whole cluster is general.
+  const std::vector<double> fractions = {0.0, 0.05, 0.10, 0.17, 0.25, 0.35, 0.50};
   SweepSpec sweep(ExperimentSpec("hawk").WithConfig(g.config).WithTrace(&g.trace));
-  sweep.VaryConfig("short_partition", points);
+  sweep.Vary("short_partition_fraction", fractions);
   const std::vector<RunComparison> cmps = CompareTo(Run(sweep, flags), sparrow);
 
   Table table({"short partition", "p50 short", "p90 short", "p50 long", "p90 long"});
-  for (size_t i = 0; i < points.size(); ++i) {
-    table.AddRow(
-        Cells({{points[i].first}, Ratios(cmps[i].short_jobs), Ratios(cmps[i].long_jobs)}));
+  for (size_t i = 0; i < fractions.size(); ++i) {
+    table.AddRow(Cells({{Table::Pct(fractions[i], 0)}, Ratios(cmps[i].short_jobs),
+                        Ratios(cmps[i].long_jobs)}));
   }
   table.Print();
   return 0;

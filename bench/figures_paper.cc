@@ -234,8 +234,8 @@ int Fig7(const Flags& flags) {
   sweep.VaryConfig(
       "variant",
       {{"hawk w/out centralized", [](HawkConfig& c) { c.use_centralized_long = false; }},
-       {"hawk w/out partition", [](HawkConfig& c) { c.use_partition = false; }},
-       {"hawk w/out stealing", [](HawkConfig& c) { c.use_stealing = false; }}});
+       {"hawk w/out partition", [](HawkConfig& c) { c.short_partition_fraction = 0.0; }},
+       {"hawk w/out stealing", [](HawkConfig& c) { c.steal_cap = 0; }}});
   const std::vector<SweepRun> runs = Run(sweep, flags);
   const std::vector<RunComparison> cmps = CompareTo(runs, full);
 

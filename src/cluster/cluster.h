@@ -30,7 +30,6 @@ class Cluster {
 
   uint32_t NumWorkers() const { return store_.NumWorkers(); }
   uint32_t GeneralCount() const { return general_count_; }
-  uint32_t ShortPartitionCount() const { return NumWorkers() - general_count_; }
 
   bool InGeneralPartition(WorkerId id) const { return id < general_count_; }
 

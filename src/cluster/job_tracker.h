@@ -31,18 +31,15 @@ class JobTracker {
     }
   }
 
-  // Classification recorded at job arrival: the class the scheduler acted on
-  // (possibly mis-estimated), the noise-free class used for metrics, and the
-  // estimate itself (schedulers look it up on task start/finish feedback).
-  void SetClassification(JobId id, bool is_long_sched, bool is_long_metrics,
-                         DurationUs estimate_us) {
+  // Recorded at job arrival: the noise-free class used for metrics, and the
+  // (possibly mis-estimated) runtime estimate the scheduler acted on, which
+  // schedulers look up on task start/finish feedback.
+  void SetClassification(JobId id, bool is_long_metrics, DurationUs estimate_us) {
     State& s = state(id);
-    s.is_long_sched = is_long_sched;
     s.is_long_metrics = is_long_metrics;
     s.estimate_us = estimate_us;
   }
 
-  bool IsLongSched(JobId id) const { return state(id).is_long_sched; }
   bool IsLongMetrics(JobId id) const { return state(id).is_long_metrics; }
   DurationUs EstimateUs(JobId id) const { return state(id).estimate_us; }
 
@@ -94,7 +91,6 @@ class JobTracker {
     return false;
   }
 
-  bool JobFinished(JobId id) const { return state(id).unfinished == 0; }
   SimTime FinishTime(JobId id) const { return state(id).finish_time; }
 
   size_t jobs_finished() const { return jobs_finished_; }
@@ -104,7 +100,6 @@ class JobTracker {
   struct State {
     uint32_t next_unassigned = 0;
     uint32_t unfinished = 0;
-    bool is_long_sched = false;
     bool is_long_metrics = false;
     DurationUs estimate_us = 0;
     SimTime finish_time = -1;

@@ -145,17 +145,12 @@ class WorkerStore {
 
   // --- slots -------------------------------------------------------------
   uint32_t Slots(WorkerId id) const { return Record(id).slots; }
-  uint32_t FreeSlots(WorkerId id) const { return Record(id).free; }
   bool HasFreeSlot(WorkerId id) const { return Record(id).free > 0; }
   uint32_t ExecutingSlots(WorkerId id) const { return Record(id).executing; }
-  uint32_t RequestingSlots(WorkerId id) const { return Record(id).requesting; }
   uint32_t OccupiedSlots(WorkerId id) const {
     const Rec& w = Record(id);
     return static_cast<uint32_t>(w.executing) + w.requesting;
   }
-  // True while any occupied slot (executing or resolving) holds long work;
-  // the steal scan treats an in-flight long probe like an executing long task.
-  bool AnyOccupiedLong(WorkerId id) const { return Record(id).occupied_long > 0; }
 
   // --- slot-index space ----------------------------------------------------
   // First slot id of `id`'s contiguous slot range. SlotBegin(NumWorkers())

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -16,7 +15,6 @@ bool StartsWith(const std::string& s, const std::string& prefix) {
 }  // namespace
 
 Flags::Flags(int argc, char** argv) {
-  program_name_ = argc > 0 ? argv[0] : "unknown";
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (!StartsWith(arg, "--")) {
@@ -64,41 +62,6 @@ double Flags::GetDouble(const std::string& name, double default_value) const {
   HAWK_CHECK(end != nullptr && *end == '\0') << "flag --" << name << " is not a number: "
                                              << it->second;
   return v;
-}
-
-bool Flags::GetBool(const std::string& name, bool default_value) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  const std::string& v = it->second;
-  if (v == "true" || v == "1" || v == "yes") {
-    return true;
-  }
-  if (v == "false" || v == "0" || v == "no") {
-    return false;
-  }
-  HAWK_CHECK(false) << "flag --" << name << " is not a boolean: " << v;
-  return default_value;
-}
-
-std::vector<int64_t> Flags::GetIntList(const std::string& name,
-                                       const std::vector<int64_t>& default_value) const {
-  const auto it = values_.find(name);
-  if (it == values_.end()) {
-    return default_value;
-  }
-  std::vector<int64_t> out;
-  std::stringstream ss(it->second);
-  std::string item;
-  while (std::getline(ss, item, ',')) {
-    char* end = nullptr;
-    const int64_t v = std::strtoll(item.c_str(), &end, 10);
-    HAWK_CHECK(end != nullptr && *end == '\0')
-        << "flag --" << name << " has a non-integer element: " << item;
-    out.push_back(v);
-  }
-  return out;
 }
 
 std::vector<std::string> Flags::UnknownNames(const std::vector<std::string>& known) const {

@@ -1,6 +1,6 @@
 // Minimal command-line flag parsing for example and bench binaries.
 //
-// Accepts "--name=value", "--name value", and bare "--name" for booleans.
+// Accepts "--name=value", "--name value", and bare "--name" (value "true").
 // Every name is kept; a binary that wants misspelt flags rejected rather
 // than silently running its default configuration checks UnknownNames().
 // Malformed values abort via HAWK_CHECK at the Get* call that reads them.
@@ -24,11 +24,6 @@ class Flags {
   std::string GetString(const std::string& name, const std::string& default_value) const;
   int64_t GetInt(const std::string& name, int64_t default_value) const;
   double GetDouble(const std::string& name, double default_value) const;
-  bool GetBool(const std::string& name, bool default_value) const;
-
-  // Comma-separated integer list, e.g. "--sizes=1000,1500,2000".
-  std::vector<int64_t> GetIntList(const std::string& name,
-                                  const std::vector<int64_t>& default_value) const;
 
   // The parsed flag names that are not in `known`, sorted.
   std::vector<std::string> UnknownNames(const std::vector<std::string>& known) const;
@@ -36,10 +31,7 @@ class Flags {
   // Positional (non-flag) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }
 
-  const std::string& program_name() const { return program_name_; }
-
  private:
-  std::string program_name_;
   std::map<std::string, std::string> values_;
   std::vector<std::string> positional_;
 };

@@ -1,7 +1,6 @@
 #include "src/common/histogram.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "src/common/check.h"
 
@@ -9,11 +8,6 @@ namespace hawk {
 
 void Samples::Add(double value) {
   values_.push_back(value);
-  sorted_ = false;
-}
-
-void Samples::AddAll(const std::vector<double>& values) {
-  values_.insert(values_.end(), values.begin(), values.end());
   sorted_ = false;
 }
 
@@ -49,18 +43,6 @@ double Samples::Mean() const {
   HAWK_CHECK(!values_.empty());
   return Sum() / static_cast<double>(values_.size());
 }
-
-double Samples::Variance() const {
-  HAWK_CHECK(!values_.empty());
-  const double mean = Mean();
-  double acc = 0.0;
-  for (const double v : values_) {
-    acc += (v - mean) * (v - mean);
-  }
-  return acc / static_cast<double>(values_.size());
-}
-
-double Samples::Stddev() const { return std::sqrt(Variance()); }
 
 double Samples::Percentile(double pct) const {
   HAWK_CHECK(!values_.empty());

@@ -17,7 +17,6 @@ class Samples {
   Samples() = default;
 
   void Add(double value);
-  void AddAll(const std::vector<double>& values);
 
   size_t Count() const { return values_.size(); }
   bool Empty() const { return values_.empty(); }
@@ -26,8 +25,6 @@ class Samples {
   double Max() const;
   double Mean() const;
   double Sum() const;
-  double Variance() const;  // Population variance.
-  double Stddev() const;
 
   // Exact percentile with linear interpolation between order statistics.
   // `pct` in [0, 100]. Requires a non-empty sample set.

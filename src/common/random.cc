@@ -105,12 +105,6 @@ double Rng::LogNormalMedian(double median, double sigma) {
 
 bool Rng::Bernoulli(double p) { return NextDouble() < p; }
 
-std::vector<uint32_t> Rng::SampleWithoutReplacement(uint32_t n, uint32_t k) {
-  std::vector<uint32_t> chosen;
-  SampleWithoutReplacement(n, k, &chosen);
-  return chosen;
-}
-
 void Rng::SampleWithoutReplacement(uint32_t n, uint32_t k, std::vector<uint32_t>* out) {
   HAWK_CHECK_LE(k, n);
   out->clear();
@@ -172,7 +166,5 @@ void Rng::SampleWithoutReplacement(uint32_t n, uint32_t k, std::vector<uint32_t>
     std::swap(chosen[i - 1], chosen[j]);
   }
 }
-
-Rng Rng::Fork() { return Rng(Next()); }
 
 }  // namespace hawk

@@ -52,23 +52,15 @@ class Rng {
   // True with probability p.
   bool Bernoulli(double p);
 
-  // Fisher-Yates sample of k distinct values from [0, n). k must be <= n.
-  std::vector<uint32_t> SampleWithoutReplacement(uint32_t n, uint32_t k);
-
-  // Buffer-reusing variant for hot paths: fills *out with the sample,
-  // reusing its capacity (no allocation once warm). The draw sequence is
-  // identical to the returning overload, so the two are interchangeable
-  // without perturbing determinism.
+  // Sample of k distinct values from [0, n) into *out, reusing its capacity
+  // (no allocation once warm). k must be <= n.
   void SampleWithoutReplacement(uint32_t n, uint32_t k, std::vector<uint32_t>* out);
-
-  // Forks an independent, deterministic child stream (for per-component RNGs).
-  Rng Fork();
 
  private:
   uint64_t state_[4];
-  // Epoch-stamped membership scratch for the buffer-reusing sample overload.
+  // Epoch-stamped membership scratch for SampleWithoutReplacement.
   // Purely an acceleration structure: it never influences the draw stream,
-  // and forks/seeds are unaffected by it.
+  // and seeding is unaffected by it.
   std::vector<uint32_t> sample_stamp_;
   uint32_t sample_epoch_ = 0;
 };

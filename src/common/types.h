@@ -39,10 +39,6 @@ constexpr DurationUs MillisToUs(double millis) {
   return static_cast<DurationUs>(millis * static_cast<double>(kMicrosPerMilli) + 0.5);
 }
 
-constexpr double UsToSeconds(DurationUs us) {
-  return static_cast<double>(us) / static_cast<double>(kMicrosPerSecond);
-}
-
 }  // namespace hawk
 
 #endif  // HAWK_COMMON_TYPES_H_

@@ -41,7 +41,11 @@ constexpr FieldRow kFields[] = {
     {"big_worker_fraction", &HawkConfig::big_worker_fraction, Closed(0), Closed(1)},
     {"big_worker_slots", &HawkConfig::big_worker_slots},
     {"cutoff_us", &HawkConfig::cutoff_us, Closed(0)},
-    {"estimate_noise_hi", &HawkConfig::estimate_noise_hi},
+    // Both executors round avg task us x U(lo, hi) to int64 us. Up to 1000x,
+    // any average below 9.2e15 us (292 years) keeps that under 2^63; the
+    // trace generators cap a task at 5e10 us, which leaves room for 1.8e5
+    // such estimates in one worker's waiting-time backlog.
+    {"estimate_noise_hi", &HawkConfig::estimate_noise_hi, Closed(-kInf), Closed(1000)},
     // The Estimator behind both executors' classifiers CHECKs lo > 0.
     {"estimate_noise_lo", &HawkConfig::estimate_noise_lo, Open(0)},
     {"fault_seed", &HawkConfig::fault_seed},
@@ -64,8 +68,6 @@ constexpr FieldRow kFields[] = {
     {"straggler_rate", &HawkConfig::straggler_rate, Closed(0), Closed(1)},
     {"straggler_slowdown_factor", &HawkConfig::straggler_slowdown_factor},
     {"use_centralized_long", &HawkConfig::use_centralized_long},
-    {"use_partition", &HawkConfig::use_partition},
-    {"use_stealing", &HawkConfig::use_stealing},
     {"util_sample_period_us", &HawkConfig::util_sample_period_us, Open(0)},
     {"worker_churn_rate", &HawkConfig::worker_churn_rate, Closed(0)},
     {"worker_crash_rate", &HawkConfig::worker_crash_rate, Closed(0)},
@@ -121,9 +123,6 @@ Status CheckRange(const HawkConfig& config, T HawkConfig::*member, const FieldRo
 }  // namespace
 
 uint32_t HawkConfig::GeneralCount() const {
-  if (!use_partition) {
-    return num_workers;
-  }
   const auto short_count =
       static_cast<uint32_t>(static_cast<double>(num_workers) * short_partition_fraction);
   // Never let the general partition vanish entirely.

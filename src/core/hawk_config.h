@@ -51,7 +51,7 @@ struct HawkConfig {
   ClassifyMode classify_mode = ClassifyMode::kCutoff;
 
   // Estimate mis-estimation range (§4.8): the true average is multiplied by
-  // U(noise_lo, noise_hi). 1.0/1.0 disables noise.
+  // U(noise_lo, noise_hi), with 0 < lo <= hi <= 1000. 1.0/1.0 disables noise.
   double estimate_noise_lo = 1.0;
   double estimate_noise_hi = 1.0;
 
@@ -68,10 +68,10 @@ struct HawkConfig {
   // `hawk_figures --figure=ablation-steal-retry`.
   DurationUs steal_retry_interval_us = 0;
 
-  // Feature toggles for the §4.4 component breakdown.
-  bool use_centralized_long = true;  // Off: long jobs probe the general partition.
-  bool use_partition = true;         // Off: the whole cluster is general.
-  bool use_stealing = true;
+  // §4.4 component breakdown: off, long jobs probe the general partition.
+  // The other two components are turned off by short_partition_fraction = 0
+  // and steal_cap = 0.
+  bool use_centralized_long = true;
 
   // Simulation cost model (§4.1): one-way network delay; scheduling and
   // stealing decisions are free.

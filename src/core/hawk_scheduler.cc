@@ -18,7 +18,7 @@ void HawkPolicy::Attach(SchedulerContext* ctx) {
     central_queue_ = std::make_unique<SlotWaitingTimeQueue>(cluster, cluster.GeneralCount());
   }
   // The stealer's seed is drawn whenever the design steals, even with
-  // stealing toggled off, so a toggle changes nothing but the steals.
+  // steal_cap=0, so turning stealing off changes nothing but the steals.
   if (design_.stealing) {
     stealing_ = std::make_unique<StealingPolicy>(config_.steal_cap, ctx->SchedRng().Next(),
                                                  shape_.victim_selection);

@@ -9,8 +9,9 @@
 // when the shape steals (§3.6). Hawk's design shape is RuntimeShape{}; the
 // paper's baselines are Hawk with parts taken away — sparrow, centralized and
 // split are shape literals at their registration (experiment.cc) — and the
-// §4.4 component toggles ("Hawk w/out centralized / partition / stealing")
-// take parts away from whichever design the policy runs.
+// §4.4 component settings ("Hawk w/out centralized / partition / stealing":
+// use_centralized_long=0, short_partition_fraction=0, steal_cap=0) take
+// parts away from whichever design the policy runs.
 #ifndef HAWK_CORE_HAWK_SCHEDULER_H_
 #define HAWK_CORE_HAWK_SCHEDULER_H_
 
@@ -28,7 +29,7 @@ namespace hawk {
 
 class HawkPolicy : public SchedulerPolicy {
  public:
-  // `design` is the shape before the config's toggles apply; `name` is what
+  // `design` is the shape before the config's §4.4 settings apply; `name` is what
   // Name() reports.
   explicit HawkPolicy(const HawkConfig& config, const RuntimeShape& design = RuntimeShape{},
                       std::string_view name = "hawk")

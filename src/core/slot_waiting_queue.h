@@ -31,7 +31,6 @@
 #ifndef HAWK_CORE_SLOT_WAITING_QUEUE_H_
 #define HAWK_CORE_SLOT_WAITING_QUEUE_H_
 
-#include <algorithm>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -56,15 +55,12 @@ class SlotWaitingTimeQueue {
     HAWK_CHECK_LE(num_workers, cluster.NumWorkers());
     if (!identity_) {
       lane_to_worker_.resize(lane_count_);
-      lane_begin_.resize(static_cast<size_t>(num_workers) + 1);
       for (WorkerId w = 0; w < num_workers; ++w) {
-        lane_begin_[w] = cluster.workers().SlotBegin(w);
         for (SlotId lane = cluster.workers().SlotBegin(w);
              lane < cluster.workers().SlotBegin(w + 1); ++lane) {
           lane_to_worker_[lane] = w;
         }
       }
-      lane_begin_[num_workers] = lane_count_;
       pending_.resize(num_workers);
       running_.resize(num_workers);
     }
@@ -140,39 +136,7 @@ class SlotWaitingTimeQueue {
     inner_.OnTaskFinish(lane, now);
   }
 
-  // Estimated waiting time a new task would see on `worker`: the minimum
-  // over the worker's lanes (§3.7 definition per lane).
-  DurationUs WaitingTime(WorkerId worker, SimTime now) const {
-    if (identity_) {
-      return inner_.WaitingTime(worker, now);
-    }
-    HAWK_CHECK_LT(worker, num_workers_);
-    DurationUs best = kSimTimeMax;
-    ForEachLane(worker, [&](SlotId lane) {
-      best = std::min(best, inner_.WaitingTime(lane, now));
-    });
-    return best;
-  }
-
-  // Sum of assigned-not-started estimates across the worker's lanes.
-  DurationUs BacklogEstimate(WorkerId worker) const {
-    if (identity_) {
-      return inner_.BacklogEstimate(worker);
-    }
-    HAWK_CHECK_LT(worker, num_workers_);
-    DurationUs total = 0;
-    ForEachLane(worker, [&](SlotId lane) { total += inner_.BacklogEstimate(lane); });
-    return total;
-  }
-
  private:
-  template <typename Fn>
-  void ForEachLane(WorkerId worker, Fn&& fn) const {
-    for (SlotId lane = lane_begin_[worker]; lane < lane_begin_[worker + 1]; ++lane) {
-      fn(lane);
-    }
-  }
-
   uint32_t num_workers_;
   uint32_t lane_count_;
   // True when every tracked worker has exactly one slot: lane == worker and
@@ -180,7 +144,6 @@ class SlotWaitingTimeQueue {
   bool identity_;
   WaitingTimeQueue inner_;
   std::vector<WorkerId> lane_to_worker_;
-  std::vector<SlotId> lane_begin_;  // Size num_workers+1; empty when identity_.
   // Per-worker FIFO of lanes with an assignment awaiting its start / finish
   // notification. Empty vectors when identity_.
   std::vector<RingBuffer<SlotId>> pending_;

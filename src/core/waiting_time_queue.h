@@ -106,11 +106,6 @@ class WaitingTimeQueue {
     return backlog_[worker] + std::max<DurationUs>(0, exec_drain_[worker] - now);
   }
 
-  DurationUs BacklogEstimate(WorkerId worker) const {
-    HAWK_CHECK_LT(worker, backlog_.size());
-    return backlog_[worker];
-  }
-
  private:
   // Ordering: primary key is the absolute time at which the worker's known
   // long work would drain (max(now, exec_drain) + backlog — constant between

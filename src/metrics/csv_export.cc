@@ -65,19 +65,4 @@ Status WriteSweepSummaryCsv(const std::string& path, const std::vector<SweepRun>
   return Status::Ok();
 }
 
-Status WriteUtilizationCsv(const std::string& path, const RunResult& result) {
-  std::ofstream out(path);
-  if (!out) {
-    return Status::Error("cannot open for writing: " + path);
-  }
-  out << "sample_index,utilization\n";
-  for (size_t i = 0; i < result.utilization_samples.size(); ++i) {
-    out << i << ',' << result.utilization_samples[i] << '\n';
-  }
-  if (!out) {
-    return Status::Error("write failed: " + path);
-  }
-  return Status::Ok();
-}
-
 }  // namespace hawk

@@ -1,6 +1,5 @@
 // CSV export of experiment outputs, for plotting the figures with external
-// tools. One row per job (results), per sample (utilization), or per sweep
-// point (sweep summaries).
+// tools. One row per job (results) or per sweep point (sweep summaries).
 #ifndef HAWK_METRICS_CSV_EXPORT_H_
 #define HAWK_METRICS_CSV_EXPORT_H_
 
@@ -15,9 +14,6 @@ namespace hawk {
 
 // Columns: job_id,is_long,submit_us,finish_us,runtime_us
 Status WriteJobResultsCsv(const std::string& path, const RunResult& result);
-
-// Columns: sample_index,utilization
-Status WriteUtilizationCsv(const std::string& path, const RunResult& result);
 
 // One summary row per labelled sweep point, in sweep order. Columns:
 // label,scheduler,num_workers,probe_ratio,seed,jobs,

@@ -202,8 +202,7 @@ void NodeMonitor::Advance() {
     }
     StartTaskLocked(std::get<TaskMsg>(entry), /*centrally_placed=*/true);
   }
-  if (free_slots_ > 0 && queue_.empty() && config_.stealing_enabled &&
-      config_.steal_cap > 0) {
+  if (free_slots_ > 0 && queue_.empty() && config_.steal_cap > 0) {
     TryStealLocked();
   }
 }

@@ -55,7 +55,6 @@ struct NodeMonitorConfig {
   // Shared read-only by every monitor; must outlive them.
   const Cluster* layout = nullptr;
   uint32_t steal_cap = 10;  // 0 disables stealing.
-  bool stealing_enabled = true;
   StealingPolicy::VictimSelection victim_selection = StealingPolicy::VictimSelection::kRandom;
   // Fault tolerance: when nonzero, a thief whose steal request has gone
   // unanswered this long gives the victim up for dead and resumes its round
@@ -162,7 +161,7 @@ class NodeMonitor {
   uint32_t free_slots_;
   uint32_t requesting_ = 0;
   // Occupied slots (requesting or executing) holding long work — the steal
-  // screening input, mirroring WorkerStore::AnyOccupiedLong.
+  // screening input, mirroring the WorkerStore record's occupied_long.
   uint32_t occupied_long_ = 0;
   // Outstanding late-binding requests per job: count and the probes' class
   // (one class per job), so grants/cancels release the right accounting.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <condition_variable>
 #include <functional>
+#include <iostream>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -11,7 +12,6 @@
 #include <utility>
 
 #include "src/common/check.h"
-#include "src/common/logging.h"
 #include "src/common/random.h"
 #include "src/core/job_classifier.h"
 #include "src/runtime/failure_detector.h"
@@ -190,8 +190,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // Node monitors (bus addresses 0..num_workers-1).
   NodeMonitorConfig nm_config;
   nm_config.layout = &layout;
-  nm_config.steal_cap = hawk.steal_cap;
-  nm_config.stealing_enabled = shape.stealing && hawk.steal_cap > 0;
+  nm_config.steal_cap = shape.stealing ? hawk.steal_cap : 0;
   nm_config.victim_selection = shape.victim_selection;
   nm_config.straggler_rate = hawk.straggler_rate;
   nm_config.straggler_slowdown_factor = hawk.straggler_slowdown_factor;
@@ -385,7 +384,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   };
   const Status completed = sink.AwaitAll(config.timeout, progress);
   if (!completed.ok()) {
-    HAWK_LOG(Error) << completed.message() << "; results are partial";
+    std::cerr << completed.message() << "; results are partial\n";
   }
   // Stop the fault machinery before draining: the reaper sends on the bus,
   // so it must be gone before the bus winds down.

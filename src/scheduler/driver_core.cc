@@ -71,7 +71,7 @@ template <typename Executor>
 void DriverCore<Executor>::ArriveJob(const Job& job) {
   const JobClass cls = classifier_.Classify(job);
   tracker_.SetClassification(
-      job.id, cls.is_long_sched, cls.is_long_metrics,
+      job.id, cls.is_long_metrics,
       static_cast<DurationUs>(std::llround(std::max(0.0, cls.estimate_us))));
   result_.counters.jobs++;
   policy_->OnJobArrival(job, cls);

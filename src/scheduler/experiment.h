@@ -94,8 +94,8 @@ class SweepSpec {
   SweepSpec& VaryTraces(std::vector<std::pair<std::string, const Trace*>> traces);
 
   // Escape hatch for axes that are not a single numeric field: each point is
-  // a label plus an arbitrary config edit (e.g. the §4.4 component toggles,
-  // or a (noise_lo, noise_hi) pair).
+  // a label plus an arbitrary config edit (e.g. Fig. 7's §4.4 component
+  // settings, or a (noise_lo, noise_hi) pair).
   SweepSpec& VaryConfig(std::string_view axis,
                         std::vector<std::pair<std::string, ConfigMutator>> points);
 

@@ -111,15 +111,15 @@ class SchedulerPolicy {
   virtual void Attach(SchedulerContext* ctx) { ctx_ = ctx; }
 
   // The shape both executors read (see RuntimeShape): the policy's design
-  // shape resolved against the config's §4.4 component toggles.
-  // use_centralized_long=0 removes the long central lane, and stealing needs
-  // use_stealing and a non-zero steal_cap; use_partition acts through the
-  // registry's general-partition size instead. Called on a fresh, unattached
-  // instance — implementations must not touch ctx_.
+  // shape resolved against the config's §4.4 component settings.
+  // use_centralized_long=0 removes the long central lane, and steal_cap=0
+  // removes stealing; short_partition_fraction=0 acts through the general-
+  // partition size instead. Called on a fresh, unattached instance —
+  // implementations must not touch ctx_.
   virtual RuntimeShape ShapeForRuntime(const HawkConfig& config) const {
     RuntimeShape shape = design_;
     shape.centralized_long = shape.centralized_long && config.use_centralized_long;
-    shape.stealing = shape.stealing && config.use_stealing && config.steal_cap > 0;
+    shape.stealing = shape.stealing && config.steal_cap > 0;
     return shape;
   }
 
@@ -205,7 +205,7 @@ class SchedulerPolicy {
   }
 
   SchedulerContext* ctx_ = nullptr;
-  // The shape this policy is built to run before the toggles apply. The
+  // The shape this policy is built to run before the §4.4 settings apply. The
   // default is Hawk's own, which externally registered Hawk variants share.
   RuntimeShape design_;
 };

@@ -92,11 +92,6 @@ class EventQueue {
     payloads_.clear();
   }
 
-  void Reserve(size_t capacity) {
-    keys_.reserve(capacity);
-    payloads_.reserve(capacity);
-  }
-
  private:
   struct Key {
     SimTime at;

@@ -58,19 +58,4 @@ Trace RescaleTime(const Trace& trace, double factor) {
   return scaled;
 }
 
-Trace SampleJobs(const Trace& trace, size_t count, Rng* rng) {
-  HAWK_CHECK(rng != nullptr);
-  if (count >= trace.NumJobs()) {
-    return trace;
-  }
-  const std::vector<uint32_t> picks = rng->SampleWithoutReplacement(
-      static_cast<uint32_t>(trace.NumJobs()), static_cast<uint32_t>(count));
-  Trace sampled;
-  for (const uint32_t idx : picks) {
-    sampled.Add(trace.job(idx));
-  }
-  sampled.SortAndRenumber();
-  return sampled;
-}
-
 }  // namespace hawk

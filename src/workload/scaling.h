@@ -10,7 +10,6 @@
 #ifndef HAWK_WORKLOAD_SCALING_H_
 #define HAWK_WORKLOAD_SCALING_H_
 
-#include "src/common/random.h"
 #include "src/workload/trace.h"
 
 namespace hawk {
@@ -25,10 +24,6 @@ Trace CapTasksPreserveWork(const Trace& trace, uint32_t max_tasks);
 // the paper's seconds->milliseconds prototype scaling). Durations are clamped
 // to at least 1 us.
 Trace RescaleTime(const Trace& trace, double factor);
-
-// Uniform random sample of `count` jobs (all jobs if count >= size). Ids are
-// renumbered; submission times are kept (callers usually reassign arrivals).
-Trace SampleJobs(const Trace& trace, size_t count, Rng* rng);
 
 }  // namespace hawk
 

@@ -35,14 +35,15 @@ TEST(WorkerStoreTest, FifoOrder) {
 
 TEST(WorkerStoreTest, SlotStateMachine) {
   WorkerStore store(1);
-  EXPECT_EQ(store.FreeSlots(0), 1u);
+  EXPECT_EQ(store.Slots(0) - store.OccupiedSlots(0), 1u);
   EXPECT_EQ(store.OccupiedSlots(0), 0u);
 
+  // Occupied but not executing: the slot is resolving a request.
   store.BeginRequest(0, /*probe_is_long=*/false);
-  EXPECT_EQ(store.RequestingSlots(0), 1u);
+  EXPECT_EQ(store.OccupiedSlots(0) - store.ExecutingSlots(0), 1u);
   EXPECT_FALSE(store.HasFreeSlot(0));
   store.ResolveRequest(0, /*probe_is_long=*/false);
-  EXPECT_EQ(store.RequestingSlots(0), 0u);
+  EXPECT_EQ(store.OccupiedSlots(0) - store.ExecutingSlots(0), 0u);
   EXPECT_TRUE(store.HasFreeSlot(0));
 
   store.BeginExecute(0, 100, ShortTask(7));
@@ -92,22 +93,25 @@ TEST(WorkerStoreTest, MultiSlotConcurrentExecution) {
   spec.slots_per_worker = 3;
   WorkerStore store(2, spec);
   EXPECT_EQ(store.TotalSlots(), 6u);
-  EXPECT_EQ(store.FreeSlots(0), 3u);
+  EXPECT_EQ(store.Slots(0) - store.OccupiedSlots(0), 3u);
 
+  // A queued short probe is stealable exactly while occupied long work
+  // blocks it.
+  store.Enqueue(0, ShortProbe(9));
   store.BeginExecute(0, 0, ShortTask(1));
   store.BeginRequest(0, /*probe_is_long=*/true);
-  EXPECT_EQ(store.FreeSlots(0), 1u);
+  EXPECT_EQ(store.Slots(0) - store.OccupiedSlots(0), 1u);
   EXPECT_EQ(store.OccupiedSlots(0), 2u);
-  EXPECT_TRUE(store.AnyOccupiedLong(0));  // The in-flight long probe counts.
+  EXPECT_TRUE(store.HasStealableGroup(0));  // The in-flight long probe counts.
   store.BeginExecute(0, 0, ShortTask(2));
   EXPECT_FALSE(store.HasFreeSlot(0));
   EXPECT_EQ(store.ExecutingTotal(), 2u);
 
   store.ResolveRequest(0, /*probe_is_long=*/true);
-  EXPECT_FALSE(store.AnyOccupiedLong(0));
+  EXPECT_FALSE(store.HasStealableGroup(0));
   store.FinishExecute(0, false);
   store.FinishExecute(0, false);
-  EXPECT_EQ(store.FreeSlots(0), 3u);
+  EXPECT_EQ(store.Slots(0) - store.OccupiedSlots(0), 3u);
   EXPECT_EQ(store.ExecutingTotal(), 0u);
 }
 
@@ -491,7 +495,10 @@ TEST(StealScanTest, RandomStatesMatchTheReferenceScan) {
       }
       occupied_long = occupied_long || (use != 0 && is_long);
     }
-    ASSERT_EQ(store.AnyOccupiedLong(victim), occupied_long);
+    // A lone queued short probe is stealable iff occupied long work blocks it.
+    store.Enqueue(victim, ShortProbe(0));
+    ASSERT_EQ(store.HasStealableGroup(victim), occupied_long);
+    store.PopFront(victim);
     std::vector<QueueEntry> model;
     for (int64_t i = rng.UniformInt(0, 12); i > 0; --i) {
       model.push_back(random_entry());
@@ -636,7 +643,7 @@ TEST(ClusterTest, PartitionLayout) {
   Cluster cluster(100, 83);
   EXPECT_EQ(cluster.NumWorkers(), 100u);
   EXPECT_EQ(cluster.GeneralCount(), 83u);
-  EXPECT_EQ(cluster.ShortPartitionCount(), 17u);
+  EXPECT_EQ(cluster.NumWorkers() - cluster.GeneralCount(), 17u);
   EXPECT_TRUE(cluster.InGeneralPartition(0));
   EXPECT_TRUE(cluster.InGeneralPartition(82));
   EXPECT_FALSE(cluster.InGeneralPartition(83));
@@ -726,7 +733,7 @@ TEST(JobTrackerTest, CompletionDetection) {
   EXPECT_FALSE(tracker.OnTaskFinished(0, 20));
   EXPECT_FALSE(tracker.AllJobsFinished());
   EXPECT_TRUE(tracker.OnTaskFinished(0, 30));
-  EXPECT_TRUE(tracker.JobFinished(0));
+  EXPECT_EQ(tracker.jobs_finished(), 1u);
   EXPECT_EQ(tracker.FinishTime(0), 30);
   EXPECT_TRUE(tracker.OnTaskFinished(1, 40));
   EXPECT_TRUE(tracker.AllJobsFinished());
@@ -735,8 +742,7 @@ TEST(JobTrackerTest, CompletionDetection) {
 TEST(JobTrackerTest, ClassificationAndEstimateStorage) {
   const Trace trace = TwoJobTrace();
   JobTracker tracker(&trace);
-  tracker.SetClassification(0, /*is_long_sched=*/true, /*is_long_metrics=*/false, 12345);
-  EXPECT_TRUE(tracker.IsLongSched(0));
+  tracker.SetClassification(0, /*is_long_metrics=*/false, 12345);
   EXPECT_FALSE(tracker.IsLongMetrics(0));
   EXPECT_EQ(tracker.EstimateUs(0), 12345);
 }

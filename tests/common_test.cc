@@ -21,7 +21,6 @@ TEST(TypesTest, SecondsRoundTrip) {
   EXPECT_EQ(SecondsToUs(1.0), 1'000'000);
   EXPECT_EQ(SecondsToUs(0.5), 500'000);
   EXPECT_EQ(MillisToUs(0.5), 500);
-  EXPECT_DOUBLE_EQ(UsToSeconds(2'500'000), 2.5);
 }
 
 TEST(RngTest, DeterministicForSeed) {
@@ -115,7 +114,8 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
   Rng rng(23);
   for (const uint32_t n : {10u, 100u, 10000u}) {
     for (const uint32_t k : {1u, 5u, 10u}) {
-      const auto sample = rng.SampleWithoutReplacement(n, k);
+      std::vector<uint32_t> sample;
+      rng.SampleWithoutReplacement(n, k, &sample);
       ASSERT_EQ(sample.size(), k);
       std::set<uint32_t> unique(sample.begin(), sample.end());
       EXPECT_EQ(unique.size(), k);
@@ -128,7 +128,8 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
 
 TEST(RngTest, SampleWithoutReplacementFullRange) {
   Rng rng(29);
-  const auto sample = rng.SampleWithoutReplacement(50, 50);
+  std::vector<uint32_t> sample;
+  rng.SampleWithoutReplacement(50, 50, &sample);
   std::set<uint32_t> unique(sample.begin(), sample.end());
   EXPECT_EQ(unique.size(), 50u);
 }
@@ -141,8 +142,10 @@ TEST(RngTest, SampleWithoutReplacementUniformCoverage) {
     const uint32_t k = 4;
     const int trials = 20000;
     std::vector<int> hits(n, 0);
+    std::vector<uint32_t> sample;
     for (int t = 0; t < trials; ++t) {
-      for (const uint32_t v : rng.SampleWithoutReplacement(n, k)) {
+      rng.SampleWithoutReplacement(n, k, &sample);
+      for (const uint32_t v : sample) {
         hits[v]++;
       }
     }
@@ -150,16 +153,6 @@ TEST(RngTest, SampleWithoutReplacementUniformCoverage) {
     for (const int h : hits) {
       EXPECT_NEAR(h, expected, expected * 0.35) << "n=" << n;
     }
-  }
-}
-
-TEST(RngTest, ForkStreamsAreIndependentAndDeterministic) {
-  Rng parent1(77);
-  Rng parent2(77);
-  Rng child1 = parent1.Fork();
-  Rng child2 = parent2.Fork();
-  for (int i = 0; i < 100; ++i) {
-    EXPECT_EQ(child1.Next(), child2.Next());
   }
 }
 
@@ -280,14 +273,12 @@ TEST(SamplesTest, PercentileMatchesSortedReference) {
   }
 }
 
-TEST(SamplesTest, MeanVarianceStddev) {
+TEST(SamplesTest, Mean) {
   Samples s;
   for (const double v : {2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0}) {
     s.Add(v);
   }
   EXPECT_DOUBLE_EQ(s.Mean(), 5.0);
-  EXPECT_DOUBLE_EQ(s.Variance(), 4.0);
-  EXPECT_DOUBLE_EQ(s.Stddev(), 2.0);
 }
 
 TEST(SamplesTest, CdfAtBounds) {
@@ -315,32 +306,17 @@ TEST(SamplesTest, CdfSeriesMonotonic) {
   EXPECT_DOUBLE_EQ(series.back().second, 1.0);
 }
 
-TEST(SamplesTest, AddAllMatchesAdd) {
-  Samples a;
-  Samples b;
-  const std::vector<double> values{3.0, 1.0, 2.0};
-  for (const double v : values) {
-    a.Add(v);
-  }
-  b.AddAll(values);
-  EXPECT_DOUBLE_EQ(a.Median(), b.Median());
-  EXPECT_EQ(a.Count(), b.Count());
-}
-
 TEST(FlagsTest, ParsesAllForms) {
   const char* argv[] = {"prog",          "--alpha=3",  "--beta", "4.5", "--gamma",
                         "--name=hello",  "positional", "--list=1,2,3"};
   Flags flags(8, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(flags.GetDouble("beta", 0.0), 4.5);
-  EXPECT_TRUE(flags.GetBool("gamma", false));
+  EXPECT_EQ(flags.GetString("gamma", ""), "true");  // Bare flag.
   EXPECT_EQ(flags.GetString("name", ""), "hello");
   EXPECT_EQ(flags.positional().size(), 1u);
   EXPECT_EQ(flags.positional()[0], "positional");
-  const auto list = flags.GetIntList("list", {});
-  ASSERT_EQ(list.size(), 3u);
-  EXPECT_EQ(list[0], 1);
-  EXPECT_EQ(list[2], 3);
+  EXPECT_EQ(flags.GetString("list", ""), "1,2,3");
 }
 
 TEST(FlagsTest, DefaultsWhenAbsent) {
@@ -348,16 +324,8 @@ TEST(FlagsTest, DefaultsWhenAbsent) {
   Flags flags(1, const_cast<char**>(argv));
   EXPECT_EQ(flags.GetInt("missing", 42), 42);
   EXPECT_DOUBLE_EQ(flags.GetDouble("missing", 1.5), 1.5);
-  EXPECT_FALSE(flags.GetBool("missing", false));
   EXPECT_EQ(flags.GetString("missing", "x"), "x");
   EXPECT_FALSE(flags.Has("missing"));
-}
-
-TEST(FlagsTest, BoolExplicitValues) {
-  const char* argv[] = {"prog", "--on=true", "--off=false"};
-  Flags flags(3, const_cast<char**>(argv));
-  EXPECT_TRUE(flags.GetBool("on", false));
-  EXPECT_FALSE(flags.GetBool("off", true));
 }
 
 TEST(FlagsTest, UnknownNamesListsFlagsOutsideTheKnownSet) {

@@ -91,9 +91,6 @@ TEST(HawkConfigTest, GeneralCountRespectsPartitionToggle) {
   config.num_workers = 100;
   config.short_partition_fraction = 0.17;
   EXPECT_EQ(config.GeneralCount(), 83u);
-  config.use_partition = false;
-  EXPECT_EQ(config.GeneralCount(), 100u);
-  config.use_partition = true;
   config.short_partition_fraction = 0.0;
   EXPECT_EQ(config.GeneralCount(), 100u);
 }

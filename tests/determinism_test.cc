@@ -35,20 +35,6 @@ TEST(DeterminismTest, RngMixedDistributionStreamIdentical) {
   }
 }
 
-TEST(DeterminismTest, RngForkIsDeterministic) {
-  Rng a(99);
-  Rng b(99);
-  Rng fa = a.Fork();
-  Rng fb = b.Fork();
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(fa.Next(), fb.Next());
-  }
-  // Fork must not disturb the parent stream symmetry either.
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_EQ(a.Next(), b.Next());
-  }
-}
-
 TEST(DeterminismTest, DifferentSeedsDiverge) {
   Rng a(1);
   Rng b(2);

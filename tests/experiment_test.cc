@@ -264,8 +264,8 @@ TEST(HawkConfigFieldTest, SetConfigFieldCoversEveryName) {
 
   ASSERT_TRUE(SetConfigField(&config, "probe_ratio", 8.0).ok());
   EXPECT_EQ(config.probe_ratio, 8u);
-  ASSERT_TRUE(SetConfigField(&config, "use_stealing", 0.0).ok());
-  EXPECT_FALSE(config.use_stealing);
+  ASSERT_TRUE(SetConfigField(&config, "use_centralized_long", 0.0).ok());
+  EXPECT_FALSE(config.use_centralized_long);
   ASSERT_TRUE(SetConfigField(&config, "short_partition_fraction", 0.25).ok());
   EXPECT_DOUBLE_EQ(config.short_partition_fraction, 0.25);
 }
@@ -304,7 +304,9 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr FieldRange kFieldRanges[] = {
     {"big_worker_fraction", false, '[', 0, 1, ']'},
     {"cutoff_us", true, '[', 0, kInf, ']'},
-    {"estimate_noise_lo", false, '(', 0, kInf, ']'},
+    {"estimate_noise_hi", false, '[', -kInf, 1000, ']'},
+    // Above: the cross-field lo <= hi rule, with the base's hi at its maximum.
+    {"estimate_noise_lo", false, '(', 0, 1000, ']'},
     {"message_delay_jitter_us", true, '[', 0, kInf, ']'},
     {"message_loss_rate", false, '[', 0, 1, ')'},
     {"net_delay_us", true, '[', 0, kInf, ']'},
@@ -333,7 +335,7 @@ TEST(HawkConfigFieldTest, EveryFieldEnforcesItsRange) {
   // nonzero big-worker fraction, and room above any estimate_noise_lo.
   HawkConfig base;
   base.big_worker_slots = 1;
-  base.estimate_noise_hi = kInf;
+  base.estimate_noise_hi = 1000;
   ASSERT_TRUE(base.Validate().ok());
 
   for (const FieldRange& range : kFieldRanges) {
@@ -384,6 +386,24 @@ TEST(HawkConfigValidateTest, EstimateNoiseLoMustBePositive) {
 
   config.estimate_noise_lo = 0.01;
   config.estimate_noise_hi = 1.0;
+  ASSERT_TRUE(config.Validate().ok());
+  const RunResult result = RunExperiment(MakeTrace(40, 3), config, "hawk");
+  EXPECT_EQ(result.jobs.size(), 40u);
+}
+
+// An infinite upper noise bound used to pass Validate, then round to -2^63
+// as an estimate and abort in the waiting-time queue. It is now a clean
+// Status, and a run at the largest accepted bound completes.
+TEST(HawkConfigValidateTest, EstimateNoiseHiIsBounded) {
+  HawkConfig config = SmallConfig();
+  config.classify_mode = ClassifyMode::kCutoff;
+  config.estimate_noise_hi = kInf;
+  const Status status = config.Validate();
+  ASSERT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("estimate_noise_hi"), std::string::npos) << status.message();
+
+  config.estimate_noise_lo = 1000.0;
+  config.estimate_noise_hi = 1000.0;
   ASSERT_TRUE(config.Validate().ok());
   const RunResult result = RunExperiment(MakeTrace(40, 3), config, "hawk");
   EXPECT_EQ(result.jobs.size(), 40u);

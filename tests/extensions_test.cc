@@ -234,24 +234,9 @@ TEST(CsvExportTest, JobResultsRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(CsvExportTest, UtilizationCsvWellFormed) {
-  RunResult result;
-  result.utilization_samples = {0.1, 0.5, 0.9};
-  const std::string path = testing::TempDir() + "/util.csv";
-  ASSERT_TRUE(WriteUtilizationCsv(path, result).ok());
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "sample_index,utilization");
-  std::getline(in, line);
-  EXPECT_EQ(line, "0,0.1");
-  std::remove(path.c_str());
-}
-
 TEST(CsvExportTest, BadPathReturnsError) {
   RunResult result;
   EXPECT_FALSE(WriteJobResultsCsv("/nonexistent/dir/x.csv", result).ok());
-  EXPECT_FALSE(WriteUtilizationCsv("/nonexistent/dir/y.csv", result).ok());
 }
 
 }  // namespace

@@ -36,12 +36,12 @@ const char* kAllSchedulers[] = {"sparrow", "centralized", "hawk", "hawk-dchoice"
                                 "hawk-spec", "hawk-latebind", "split"};
 constexpr uint64_t kSeeds[] = {1, 2};
 constexpr uint32_t kShardCounts[] = {1, 4};
-// The §4.4 component toggles, each switched off on "hawk", serial only
-// (keyed "hawk/<toggle>=0"). They pin every ablation path of the one policy
-// the baselines share, including the stealer's seed draw, which a
-// Hawk-family policy makes even when its stealing is toggled off.
-const char* kHawkToggles[] = {"use_centralized_long", "use_partition", "use_stealing",
-                              "steal_cap"};
+// The §4.4 component settings, each set to 0 on "hawk", serial only (keyed
+// "hawk/<field>=0"). They pin every ablation path of the one policy the
+// baselines share, including the stealer's seed draw, which a Hawk-family
+// policy makes even when steal_cap=0 turns its stealing off.
+const char* kHawkAblations[] = {"use_centralized_long", "short_partition_fraction",
+                                "steal_cap"};
 
 // The pinned workload lights every layer: partitioned + stealing schedulers,
 // speculation (via hawk-spec), crashes, churn, message loss, jitter and
@@ -113,11 +113,11 @@ TEST(GoldenResultTest, EveryRegisteredSchedulerMatchesPinnedDigests) {
       }
     }
   }
-  for (const char* toggle : kHawkToggles) {
+  for (const char* field : kHawkAblations) {
     for (const uint64_t seed : kSeeds) {
       HawkConfig config = GoldenConfig(seed);
-      ASSERT_TRUE(SetConfigField(&config, toggle, 0.0).ok()) << toggle;
-      actual[CellKey(std::string("hawk/") + toggle + "=0", seed, /*shards=*/1)] =
+      ASSERT_TRUE(SetConfigField(&config, field, 0.0).ok()) << field;
+      actual[CellKey(std::string("hawk/") + field + "=0", seed, /*shards=*/1)] =
           testing::DigestResult(RunExperiment(trace, config, "hawk"));
     }
   }

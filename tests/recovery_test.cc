@@ -118,8 +118,8 @@ TEST(RecoveryHooksTest, EveryRegisteredSchedulerHandlesLostTasksAndProbes) {
     Cluster cluster(config.num_workers, general, config.Slots());
     const Trace trace = TwoJobTrace();
     JobTracker tracker(&trace);
-    tracker.SetClassification(0, false, false, 1'000);
-    tracker.SetClassification(1, true, true, 600'000);
+    tracker.SetClassification(0, false, 1'000);
+    tracker.SetClassification(1, true, 600'000);
     RecordingContext ctx(&cluster, &tracker);
     policy->Attach(&ctx);
     policy->OnJobArrival(trace.job(0), JobClass{false, false, 1'000.0});

@@ -122,6 +122,23 @@ TEST(PrototypeTest, StealingActivatesUnderLoad) {
   EXPECT_GT(result.value().counters.steal_attempts, 0u);
 }
 
+TEST(PrototypeTest, NoStealAttemptsWithoutStealing) {
+  // The node monitors' steal gate is steal_cap alone. Under the load that
+  // makes hawk steal above, hawk with steal_cap = 0 and sparrow, whose shape
+  // does not steal, must not even attempt a steal.
+  const Trace trace = SmallScaledTrace(60, 7, 1.3, 40);
+  runtime::PrototypeConfig no_cap = SmallConfig("hawk");
+  no_cap.hawk.steal_cap = 0;
+  for (const runtime::PrototypeConfig& config : {no_cap, SmallConfig("sparrow")}) {
+    SCOPED_TRACE(config.scheduler);
+    const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+    ASSERT_TRUE(result.ok()) << result.status().message();
+    CheckPrototypeInvariants(trace, result.value());
+    EXPECT_EQ(result.value().counters.steal_attempts, 0u);
+    EXPECT_EQ(result.value().counters.entries_stolen, 0u);
+  }
+}
+
 TEST(PrototypeTest, UtilizationSamplesCollected) {
   const Trace trace = SmallScaledTrace(30, 9, 0.8, 40);
   const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("hawk"));
@@ -174,7 +191,7 @@ TEST(PrototypeSpecTest, InvalidConfigsAreCleanStatuses) {
   // A scheduler whose shape needs a short partition, on a config without
   // one: a clean Status, not the factory/Attach abort the simulator gets.
   config = SmallConfig("split");
-  config.hawk.use_partition = false;
+  config.hawk.short_partition_fraction = 0.0;
   const StatusOr<RunResult> no_partition = runtime::RunPrototype(trace, config);
   ASSERT_FALSE(no_partition.ok());
   EXPECT_NE(no_partition.status().message().find("short partition"), std::string::npos);

@@ -110,8 +110,12 @@ TEST_P(HawkAblationTest, InvariantsHoldWithTogglesOff) {
   const Trace trace = TestTrace(300, workers, 0.9, 5);
   HawkConfig config = TestConfig(workers);
   config.use_centralized_long = variant != 0;
-  config.use_partition = variant != 1;
-  config.use_stealing = variant != 2;
+  if (variant == 1) {
+    config.short_partition_fraction = 0.0;
+  }
+  if (variant == 2) {
+    config.steal_cap = 0;
+  }
   const RunResult result = RunExperiment(trace, config, "hawk");
   CheckInvariants(trace, result);
   if (variant == 2) {
@@ -431,7 +435,7 @@ TEST(PaperShapeTest, StealingHelpsShortJobs) {
   const Trace trace = TestTrace(800, workers, 0.95, 27);
   HawkConfig config = TestConfig(workers);
   const RunResult with_steal = RunExperiment(trace, config, "hawk");
-  config.use_stealing = false;
+  config.steal_cap = 0;
   const RunResult without_steal = RunExperiment(trace, config, "hawk");
   const RunComparison cmp = CompareRuns(without_steal, with_steal);
   EXPECT_GT(cmp.short_jobs.p90_ratio, 1.1);

@@ -265,15 +265,6 @@ TEST(ScalingTest, RescaleClampsToOneMicrosecond) {
   EXPECT_EQ(scaled.job(0).task_durations[0], 1);
 }
 
-TEST(ScalingTest, SampleJobsTakesSubset) {
-  const Trace trace = GenerateGoogleTrace(SmallGoogle(300, 37));
-  Rng rng(1);
-  const Trace sample = SampleJobs(trace, 50, &rng);
-  EXPECT_EQ(sample.NumJobs(), 50u);
-  const Trace all = SampleJobs(trace, 1000, &rng);
-  EXPECT_EQ(all.NumJobs(), 300u);
-}
-
 TEST(TraceStatsTest, MixOnHandBuiltTrace) {
   Trace trace;
   Job short_job;
