@@ -83,12 +83,11 @@ HawkConfig ProtoConfig(uint64_t seed) {
 // One wall-clock run of `config` under `scheduler`; aborts on failure.
 RunResult RunProto(const Trace& trace, const std::string& scheduler, const HawkConfig& config) {
   runtime::PrototypeConfig knobs;
-  knobs.scheduler = scheduler;
-  knobs.hawk = config;
   knobs.num_frontends = 4;
   knobs.fault_detection_timeout = std::chrono::milliseconds(300);
   knobs.reap_period = std::chrono::milliseconds(50);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, knobs);
+  const StatusOr<RunResult> result = runtime::RunPrototype(
+      ExperimentSpec(scheduler).WithConfig(config).WithTrace(&trace), knobs);
   HAWK_CHECK(result.ok()) << scheduler << ": " << result.status().message();
   return result.value();
 }

@@ -1,6 +1,7 @@
 // Figures 16–17 (§4.10), prototype implementation vs simulation, as a
 // figure-table entry.
 #include <algorithm>
+#include <chrono>
 #include <cstdio>
 #include <memory>
 #include <string>
@@ -139,9 +140,9 @@ int Fig16To17(const Flags& flags) {
       config.seed = seed;
       runtime::PrototypeConfig runtime_knobs;
       runtime_knobs.num_frontends = 10;
-      // The sampler period is a wall-clock knob and comes from the runtime
-      // config on the spec-driven path; match the simulator's resolution.
-      runtime_knobs.hawk.util_sample_period_us = sample_period_us;
+      // The sampler period is a wall-clock harness knob; match the
+      // simulator's resolution.
+      runtime_knobs.util_sample_period = std::chrono::microseconds(sample_period_us);
 
       // The same spec per scheduler drives RunExperiment and RunPrototype.
       const auto spec_for = [&](const std::string& scheduler) {

@@ -74,13 +74,14 @@ int main(int argc, char** argv) {
               nodes, slots, trace.NumJobs(), work_seconds);
 
   // The shared config: same type, same validation, same fields as a
-  // simulation of this cluster.
+  // simulation of this cluster. The prototype's wall-clock knobs (frontends,
+  // timeouts, the utilization sampler's 100 ms period) stay at their
+  // PrototypeConfig defaults.
   hawk::HawkConfig config;
   config.num_workers = nodes;
   config.slots_per_worker = slots;
   config.classify_mode = hawk::ClassifyMode::kHint;
   config.seed = seed;
-  config.util_sample_period_us = 100'000;  // Wall clock on the prototype.
 
   // The declarative grid: one base spec, one scheduler axis — exactly how a
   // simulation sweep would be declared — executed on the prototype.

@@ -78,6 +78,47 @@ struct RunCounters {
   }
 };
 
+// Field-wise sum. Every RunCounters field is an additive event or time
+// tally, so per-shard and per-scheduler counters merge into a run's by plain
+// summation. Listed explicitly, so a new field must be added here. No test
+// can catch an omission (an unsummed field reads 0 wherever it is merged),
+// hence the size check.
+static_assert(sizeof(RunCounters) == 30 * sizeof(uint64_t),
+              "RunCounters changed: add the new field to operator+=");
+inline RunCounters& operator+=(RunCounters& into, const RunCounters& from) {
+  into.jobs += from.jobs;
+  into.tasks_launched += from.tasks_launched;
+  into.probes_placed += from.probes_placed;
+  into.probe_requests += from.probe_requests;
+  into.cancels += from.cancels;
+  into.central_tasks_placed += from.central_tasks_placed;
+  into.steal_attempts += from.steal_attempts;
+  into.steal_victim_probes += from.steal_victim_probes;
+  into.steal_successes += from.steal_successes;
+  into.entries_stolen += from.entries_stolen;
+  into.events += from.events;
+  into.short_tasks_started += from.short_tasks_started;
+  into.long_tasks_started += from.long_tasks_started;
+  into.short_queue_wait_us += from.short_queue_wait_us;
+  into.long_queue_wait_us += from.long_queue_wait_us;
+  into.worker_crashes += from.worker_crashes;
+  into.worker_departures += from.worker_departures;
+  into.worker_rejoins += from.worker_rejoins;
+  into.messages_dropped += from.messages_dropped;
+  into.message_retries += from.message_retries;
+  into.tasks_re_dispatched += from.tasks_re_dispatched;
+  into.probes_lost += from.probes_lost;
+  into.duplicate_completions += from.duplicate_completions;
+  into.wasted_work_us += from.wasted_work_us;
+  into.tasks_speculated += from.tasks_speculated;
+  into.speculative_wins += from.speculative_wins;
+  into.speculative_wasted_us += from.speculative_wasted_us;
+  into.retries_suppressed += from.retries_suppressed;
+  into.tasks_abandoned += from.tasks_abandoned;
+  into.node_suspicions += from.node_suspicions;
+  return into;
+}
+
 struct RunResult {
   std::vector<JobResult> jobs;
   std::vector<double> utilization_samples;  // One per 100 s (configurable).

@@ -26,8 +26,6 @@ void MessageBus::EnableFaults(const FaultInjection& faults) {
   std::lock_guard<std::mutex> lock(mu_);
   HAWK_CHECK_GE(faults.loss_rate, 0.0);
   HAWK_CHECK_LT(faults.loss_rate, 1.0);
-  HAWK_CHECK(faults.loss_rate == 0.0 || faults.droppable != nullptr)
-      << "loss injection needs a droppable predicate";
   faults_ = faults;
   faults_enabled_ = true;
   fault_rng_ = Rng(faults.seed);
@@ -40,7 +38,7 @@ void MessageBus::Send(Address from, Address to, MessageType type, Message payloa
   HAWK_CHECK(!shutdown_) << "send on stopped bus";
   auto deliver_at = std::chrono::steady_clock::now() + latency_;
   if (faults_enabled_) {
-    if (faults_.loss_rate > 0.0 && faults_.droppable(type) &&
+    if (faults_.loss_rate > 0.0 && Droppable(type) &&
         fault_rng_.Bernoulli(faults_.loss_rate)) {
       ++dropped_;
       return;

@@ -45,18 +45,14 @@ class MessageBus {
 
   using Handler = std::function<void(const BusMessage&)>;
 
-  // Fault injection for the wire: messages whose type the `droppable`
-  // predicate accepts are lost with probability `loss_rate` at send time,
+  // Fault injection for the wire: messages of a Droppable type
+  // (proto_messages.h) are lost with probability `loss_rate` at send time,
   // and every delivery is delayed by an extra Uniform[0, jitter] on top of
-  // the base latency. The application layer supplies the predicate because
-  // only it knows which message types have timeout-based recovery — losing
-  // a type without one would wedge the protocol, which models a crashed
-  // endpoint, not a lossy wire.
+  // the base latency.
   struct FaultInjection {
     double loss_rate = 0.0;
     std::chrono::microseconds jitter{0};
     uint64_t seed = 0;
-    std::function<bool(MessageType type)> droppable;
   };
 
   // Enables wire faults. Call before any traffic (like Register).

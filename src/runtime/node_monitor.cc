@@ -227,9 +227,8 @@ void NodeMonitor::StartTaskLocked(const TaskMsg& task, bool centrally_placed) {
   if (centrally_placed) {
     // §3.7 feedback: the owning (centralized) scheduler re-synchronizes its
     // waiting-time estimate on every start of a task it placed. The echoed
-    // slot routes the feedback to the exact lane the backend charged.
-    const JobRefMsg started = JobRefMsg::TaskStarted(task.job, address_, task.slot);
-    bus_->Send(address_, task.owner, kTaskStarted, started);
+    // placement carries the lane and estimate the backend charged.
+    bus_->Send(address_, task.owner, kTaskStarted, task);
   }
   exec_cv_.notify_all();
 }

@@ -4,7 +4,7 @@
 // messages on the MessageBus, standing in for the paper's Thrift RPC between
 // Sparrow node monitors and schedulers. The bus is in-process, so a message
 // travels as its typed struct inside a Message variant; the MessageType tag
-// names its role (JobRefMsg and TaskMsg each carry three).
+// names its role (JobRefMsg carries two, TaskMsg four).
 #ifndef HAWK_RUNTIME_PROTO_MESSAGES_H_
 #define HAWK_RUNTIME_PROTO_MESSAGES_H_
 
@@ -28,7 +28,7 @@ enum MessageType : uint32_t {
   kTaskGrant = 4,     // frontend -> node monitor: run this task
   kTaskCancel = 5,    // frontend -> node monitor: job has no tasks left
   kTaskPlace = 6,     // backend -> node monitor: enqueue a concrete (long) task
-  kTaskStarted = 7,   // node monitor -> backend: long task began executing
+  kTaskStarted = 7,   // node monitor -> backend: placed task began executing
   kTaskDone = 8,      // node monitor -> owner scheduler: task finished
   kStealRequest = 9,  // node monitor -> node monitor: try to steal short work
   kStealResponse = 10,  // victim -> thief: stolen probes (possibly none)
@@ -79,14 +79,10 @@ struct ProbeMsg {
   }
 };
 
-// kTaskRequest / kTaskStarted / kTaskCancel: job + the sender's address.
-// For kTaskStarted, `slot` echoes the lane the backend charged at placement
-// (TaskMsg::slot), so the waiting-time feedback is routed to the exact lane
-// regardless of bus delivery order; unused (0) for the other types.
+// kTaskRequest / kTaskCancel: job + the sender's address.
 struct JobRefMsg {
   JobId job = 0;
   Address sender = 0;
-  uint32_t slot = 0;
 
   // One named constructor per message role the struct carries.
   static JobRefMsg TaskRequest(JobId job, Address sender) {
@@ -101,19 +97,16 @@ struct JobRefMsg {
     m.sender = sender;
     return m;
   }
-  static JobRefMsg TaskStarted(JobId job, Address sender, uint32_t slot) {
-    JobRefMsg m;
-    m.job = job;
-    m.sender = sender;
-    m.slot = slot;
-    return m;
-  }
 };
 
-// kTaskGrant / kTaskPlace / kTaskDone. For kTaskPlace, `slot` is the global
-// slot index (§3.7 lane) the backend's waiting-time queue charged — the
-// receiving monitor validates it owns the slot. Grants and completions have
-// no slot affinity (the monitor's slots share one FIFO queue) and leave it 0.
+// kTaskGrant / kTaskPlace / kTaskStarted / kTaskDone. For kTaskPlace, `slot`
+// is the global slot index (§3.7 lane) the backend's waiting-time queue
+// charged and `estimate_us` the estimate it charged there; the receiving
+// monitor validates it owns the slot and echoes the message whole in
+// kTaskStarted and kTaskDone, so the backend's feedback reaches the exact
+// lane with the exact estimate whatever the bus delivery order. Grants have
+// no slot affinity (the monitor's slots share one FIFO queue) and leave both
+// 0.
 struct TaskMsg {
   JobId job = 0;
   TaskIndex task_index = 0;
@@ -121,9 +114,9 @@ struct TaskMsg {
   bool is_long = false;
   Address owner = 0;  // Scheduler to notify on completion.
   uint32_t slot = 0;
+  int64_t estimate_us = 0;
 
-  // kTaskGrant: late-binding grant from a distributed frontend; the
-  // monitor's slots share one FIFO queue, so there is no slot affinity.
+  // kTaskGrant: late-binding grant from a distributed frontend.
   static TaskMsg Grant(JobId job, TaskIndex task_index, int64_t duration_us, bool is_long,
                        Address owner) {
     TaskMsg m;
@@ -135,11 +128,12 @@ struct TaskMsg {
     return m;
   }
   // kTaskPlace: direct placement by the centralized backend into the §3.7
-  // lane (`slot`) its waiting-time queue charged.
+  // lane (`slot`) its waiting-time queue charged with `estimate_us`.
   static TaskMsg Place(JobId job, TaskIndex task_index, int64_t duration_us, bool is_long,
-                       Address owner, uint32_t slot) {
+                       Address owner, uint32_t slot, int64_t estimate_us) {
     TaskMsg m = Grant(job, task_index, duration_us, is_long, owner);
     m.slot = slot;
+    m.estimate_us = estimate_us;
     return m;
   }
 };
@@ -184,10 +178,10 @@ inline bool CarriesType(MessageType type, const Message& payload) {
       return std::holds_alternative<ProbeMsg>(payload);
     case kTaskRequest:
     case kTaskCancel:
-    case kTaskStarted:
       return std::holds_alternative<JobRefMsg>(payload);
     case kTaskGrant:
     case kTaskPlace:
+    case kTaskStarted:
     case kTaskDone:
       return std::holds_alternative<TaskMsg>(payload);
     case kStealRequest:
@@ -198,6 +192,18 @@ inline bool CarriesType(MessageType type, const Message& payload) {
       return std::holds_alternative<HeartbeatMsg>(payload);
   }
   return false;
+}
+
+// Whether the bus may lose a message of `type` when wire faults are on. Only
+// types with timeout-based recovery are droppable: probes (re-probed by the
+// frontend watchdog), placements and completions (re-dispatched by the
+// owner's deadline reaper), and heartbeats (the detector tolerates gaps by
+// design; a dropped beat at worst causes a transient suspicion the next
+// arrival clears). Losing a grant, cancel, start or steal message would leak
+// a monitor slot or wedge a protocol round with no recovery path; that
+// models a crashed endpoint, which the crash axis injects properly.
+inline bool Droppable(MessageType type) {
+  return type == kProbe || type == kTaskPlace || type == kTaskDone || type == kHeartbeat;
 }
 
 // Address plan: node monitors get [0, num_nodes), frontends get

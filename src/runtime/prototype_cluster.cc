@@ -18,7 +18,6 @@
 #include "src/runtime/node_monitor.h"
 #include "src/runtime/proto_messages.h"
 #include "src/runtime/schedulers.h"
-#include "src/scheduler/registry.h"
 
 namespace hawk {
 namespace runtime {
@@ -72,13 +71,6 @@ class HarnessThread {
 }  // namespace
 
 Status PrototypeConfig::Validate() const {
-  if (scheduler.empty()) {
-    return Status::Error("prototype scheduler name must not be empty");
-  }
-  const Status hawk_status = hawk.Validate();
-  if (!hawk_status.ok()) {
-    return hawk_status;
-  }
   if (num_frontends == 0) {
     return Status::Error("num_frontends must be nonzero");
   }
@@ -94,38 +86,39 @@ Status PrototypeConfig::Validate() const {
   if (heartbeat_period.count() <= 0) {
     return Status::Error("heartbeat_period must be positive");
   }
+  if (util_sample_period.count() <= 0) {
+    return Status::Error("util_sample_period must be positive");
+  }
   return Status::Ok();
 }
 
-StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& config) {
-  const Status valid = config.Validate();
+StatusOr<RunResult> RunPrototype(const ExperimentSpec& spec, const PrototypeConfig& runtime) {
+  StatusOr<ResolvedSpec> resolved = ResolveSpec(spec);
+  if (!resolved.ok()) {
+    return resolved.status();
+  }
+  const Status valid = runtime.Validate();
   if (!valid.ok()) {
     return valid;
   }
-  // Registry resolution — the same lookup RunExperiment performs, but with a
-  // clean Status instead of an abort: prototype configs frequently come from
-  // command-line flags.
-  const SchedulerRegistry::Entry* entry = SchedulerRegistry::Global().Find(config.scheduler);
-  if (entry == nullptr) {
-    return Status::Error("unknown scheduler '" + config.scheduler +
-                         "'; registered schedulers: " +
-                         SchedulerRegistry::Global().JoinedNames());
+  const Trace& trace = *spec.trace;
+  const HawkConfig& hawk = spec.config;
+  // Graceful drain is a simulator refinement of crashing; the prototype
+  // implements fail-stop crashes only.
+  if (hawk.worker_churn_rate > 0.0) {
+    return Status::Error("worker_churn_rate is not supported on the prototype; use "
+                         "worker_crash_rate");
   }
-  const std::unique_ptr<SchedulerPolicy> policy = entry->factory(config.hawk);
-  if (policy == nullptr) {
-    return Status::Error("scheduler '" + config.scheduler + "' factory returned null");
-  }
-  // The policy is consulted for its control-plane shape and partition, never
-  // attached: the runtime executes the shape with the shared components.
-  const RuntimeShape shape = policy->ShapeForRuntime(config.hawk);
-  const uint32_t general_count =
-      entry->general_count ? entry->general_count(config.hawk) : config.hawk.num_workers;
-  const HawkConfig& hawk = config.hawk;
+  // The policy is consulted for its control-plane shape and speculation
+  // threshold, never attached: the runtime executes the shape with the
+  // shared components.
+  const SchedulerPolicy& policy = *resolved.value().policy;
+  const RuntimeShape shape = policy.ShapeForRuntime(hawk);
 
   // Monitors can hand each other only probes, so a steal group must never
   // hold a centrally placed short task.
   if (shape.centralized_short && shape.stealing) {
-    return Status::Error("scheduler '" + config.scheduler +
+    return Status::Error("scheduler '" + spec.scheduler +
                          "' places short tasks centrally and steals; the prototype can "
                          "steal only probes");
   }
@@ -133,10 +126,10 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // The immutable layout every runtime component shares: slot counts per
   // node, the general-partition boundary, and the slot-index space used by
   // probe placement and steal-victim sampling.
-  const Cluster layout(hawk.num_workers, general_count, hawk.Slots());
+  const Cluster layout(hawk.num_workers, resolved.value().general_count, hawk.Slots());
   if (shape.short_probe_span == RuntimeShape::ProbeSpan::kShortPartition &&
       layout.GeneralSlots() == layout.TotalSlots()) {
-    return Status::Error("scheduler '" + config.scheduler +
+    return Status::Error("scheduler '" + spec.scheduler +
                          "' probes the short partition, but the partition is empty");
   }
 
@@ -151,18 +144,6 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
     wire.loss_rate = hawk.message_loss_rate;
     wire.jitter = std::chrono::microseconds(hawk.message_delay_jitter_us);
     wire.seed = Rng(hawk.seed ^ 0xD207B175ULL ^ (hawk.fault_seed * 0x9E3779B97F4A7C15ULL)).Next();
-    // Only message types with timeout-based recovery are droppable: probes
-    // (re-probed by the frontend watchdog), placements and completions
-    // (re-dispatched by the owner's deadline reaper), and heartbeats (the
-    // detector tolerates gaps by design — a dropped beat can at worst cause
-    // a transient suspicion the next arrival clears). Losing a grant,
-    // cancel, or steal message would leak a monitor slot or wedge a
-    // protocol round with no recovery path — that models a crashed
-    // endpoint, which the crash axis injects properly.
-    wire.droppable = [](MessageType type) {
-      return type == kProbe || type == kTaskPlace || type == kTaskDone ||
-             type == kHeartbeat;
-    };
     bus.EnableFaults(wire);
   }
   CompletionSink sink;
@@ -183,7 +164,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   if (faults_on) {
     detector = std::make_unique<FailureDetector>(
         hawk.num_workers,
-        std::chrono::duration_cast<std::chrono::microseconds>(config.heartbeat_period));
+        std::chrono::duration_cast<std::chrono::microseconds>(runtime.heartbeat_period));
     detector->Start(&bus);
   }
 
@@ -197,7 +178,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   nm_config.detector = detector.get();
   if (faults_on) {
     nm_config.steal_response_timeout =
-        std::chrono::duration_cast<std::chrono::microseconds>(config.fault_detection_timeout);
+        std::chrono::duration_cast<std::chrono::microseconds>(runtime.fault_detection_timeout);
   }
   std::vector<std::unique_ptr<NodeMonitor>> monitors;
   monitors.reserve(hawk.num_workers);
@@ -209,16 +190,16 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   FaultRecoveryPolicy recovery;
   recovery.enabled = faults_on;
   recovery.detection_timeout =
-      std::chrono::duration_cast<std::chrono::microseconds>(config.fault_detection_timeout);
+      std::chrono::duration_cast<std::chrono::microseconds>(runtime.fault_detection_timeout);
   recovery.retry_budget = hawk.retry_budget;
   // The policy decides the effective threshold (the "hawk-spec" variant is
   // default-on), exactly as the simulation driver asks it.
-  recovery.speculation_threshold = policy->SpeculationThreshold(hawk);
+  recovery.speculation_threshold = policy.SpeculationThreshold(hawk);
 
   // Distributed frontends, probing the spans the policy shape declares.
   std::vector<std::unique_ptr<DistributedFrontend>> frontends;
-  frontends.reserve(config.num_frontends);
-  for (uint32_t f = 0; f < config.num_frontends; ++f) {
+  frontends.reserve(runtime.num_frontends);
+  for (uint32_t f = 0; f < runtime.num_frontends; ++f) {
     frontends.push_back(std::make_unique<DistributedFrontend>(kFrontendBase + f, &layout, shape,
                                                               hawk.probe_ratio, recovery, &bus,
                                                               &sink, seeder.Next(),
@@ -252,7 +233,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
     }
     utilization_samples.push_back(static_cast<double>(executing) /
                                   static_cast<double>(layout.TotalSlots()));
-    return Clock::now() + std::chrono::microseconds(hawk.util_sample_period_us);
+    return Clock::now() + runtime.util_sample_period;
   });
 
   // Fault controller: a Poisson process of real fail-stop crashes (the
@@ -315,7 +296,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
       for (auto& monitor : monitors) {
         monitor->SendHeartbeat();
       }
-      return Clock::now() + config.heartbeat_period;
+      return Clock::now() + runtime.heartbeat_period;
     });
   }
 
@@ -325,14 +306,14 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   // its tasks forever.
   HarnessThread reaper;
   if (faults_on || recovery.SpeculationOn()) {
-    reaper.Start(Clock::now() + config.reap_period, [&] {
+    reaper.Start(Clock::now() + runtime.reap_period, [&] {
       for (auto& frontend : frontends) {
         frontend->ReapOverdue();
       }
       if (backend != nullptr) {
         backend->ReapOverdue();
       }
-      return Clock::now() + config.reap_period;
+      return Clock::now() + runtime.reap_period;
     });
   }
 
@@ -363,7 +344,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
       if (to_backend) {
         bus.Send(kBackendAddress, kBackendAddress, kJobSubmit, std::move(submit));
       } else {
-        const Address frontend = kFrontendBase + (next_frontend++ % config.num_frontends);
+        const Address frontend = kFrontendBase + (next_frontend++ % runtime.num_frontends);
         bus.Send(frontend, frontend, kJobSubmit, std::move(submit));
       }
     }
@@ -382,7 +363,7 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
     return found ? " (" + std::to_string(done) + "/" + std::to_string(total) + " tasks done)"
                  : " (owner already retired it)";
   };
-  const Status completed = sink.AwaitAll(config.timeout, progress);
+  const Status completed = sink.AwaitAll(runtime.timeout, progress);
   if (!completed.ok()) {
     std::cerr << completed.message() << "; results are partial\n";
   }
@@ -433,10 +414,10 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
   result.counters.worker_rejoins = worker_rejoins;
   result.counters.messages_dropped = bus.MessagesDropped();
   for (const auto& frontend : frontends) {
-    frontend->ledger().Counters().AddTo(&result.counters);
+    result.counters += frontend->ledger().Counters();
   }
   if (backend != nullptr) {
-    backend->ledger().Counters().AddTo(&result.counters);
+    result.counters += backend->ledger().Counters();
   }
   if (detector != nullptr) {
     result.counters.node_suspicions = detector->suspicions();
@@ -446,21 +427,6 @@ StatusOr<RunResult> RunPrototype(const Trace& trace, const PrototypeConfig& conf
     result.total_busy_us += monitor->busy_us();
   }
   return result;
-}
-
-StatusOr<RunResult> RunPrototype(const ExperimentSpec& spec, const PrototypeConfig& runtime) {
-  if (spec.trace == nullptr) {
-    return Status::Error("prototype experiment '" + spec.Label() + "' has no trace");
-  }
-  PrototypeConfig config = runtime;
-  config.scheduler = spec.scheduler;
-  config.hawk = spec.config;
-  // The sampler period is a wall-clock knob and stays with `runtime`: a
-  // spec tuned for the simulator typically carries the 100 s sim-time
-  // default, which on the wall clock would mean one utilization sample per
-  // run and a silently-zero median utilization.
-  config.hawk.util_sample_period_us = runtime.hawk.util_sample_period_us;
-  return RunPrototype(*spec.trace, config);
 }
 
 StatusOr<std::vector<SweepRun>> RunPrototypeSweep(const SweepSpec& sweep,

@@ -75,16 +75,6 @@ AdaptiveTimeout FaultRecoveryPolicy::MakeDetectionWindow() const {
   return AdaptiveTimeout(expected, floor_us, cap_us);
 }
 
-void RecoveryCounters::AddTo(RunCounters* counters) const {
-  counters->tasks_re_dispatched += tasks_re_dispatched;
-  counters->retries_suppressed += retries_suppressed;
-  counters->tasks_abandoned += tasks_abandoned;
-  counters->duplicate_completions += duplicate_completions;
-  counters->probes_lost += probes_lost;
-  counters->tasks_speculated += tasks_speculated;
-  counters->speculative_wasted_us += speculative_wasted_us;
-}
-
 // --- DistributedFrontend ----------------------------------------------------
 
 DistributedFrontend::DistributedFrontend(Address address, const Cluster* layout,
@@ -208,7 +198,7 @@ void DistributedFrontend::HandleMessage(const BusMessage& message) {
 void DistributedFrontend::ReapOverdue() {
   std::lock_guard<std::mutex> lock(mu_);
   const FaultRecoveryPolicy& policy = ledger_.policy();
-  RecoveryCounters& counters = ledger_.counters();
+  RunCounters& counters = ledger_.counters();
   const auto now = std::chrono::steady_clock::now();
   for (auto& [job, state] : ledger_.owned()) {
     // Overdue grants: the executing node is presumed dead. Return the task
@@ -266,9 +256,7 @@ CentralBackend::CentralBackend(Address address, const Cluster* layout,
       waiting_(*layout, layout->GeneralCount()),
       epoch_(std::chrono::steady_clock::now()) {
   HAWK_CHECK(bus != nullptr);
-  lane_charges_.resize(waiting_.NumLanes());
-  lane_running_.assign(waiting_.NumLanes(), 0);
-  lane_deferred_finishes_.assign(waiting_.NumLanes(), 0);
+  lane_balance_.assign(waiting_.NumLanes(), 0);
 }
 
 void CentralBackend::Start() {
@@ -278,9 +266,8 @@ void CentralBackend::Start() {
 void CentralBackend::PlaceTaskLocked(JobId job, Ledger::Job& state, uint32_t task_index) {
   SlotId lane = 0;
   const WorkerId worker = waiting_.AssignTask(NowUs(), state.extra.estimate_us, &lane);
-  lane_charges_[lane].push_back(state.extra.estimate_us);
   const TaskMsg place = TaskMsg::Place(job, task_index, state.durations_us[task_index],
-                                       state.is_long, address_, lane);
+                                       state.is_long, address_, lane, state.extra.estimate_us);
   // The deadline budgets the run itself plus the adaptive window, which has
   // absorbed typical queue wait; a task parked deep in a busy queue can
   // still overrun it and be re-placed while alive.
@@ -301,25 +288,15 @@ void CentralBackend::HandleMessage(const BusMessage& message) {
       break;
     }
     case kTaskStarted: {
-      const JobRefMsg& started = std::get<JobRefMsg>(message.payload);
-      // Lane-routed feedback: the monitor echoes the lane charged at
-      // placement, so delivery reorderings on the multi-threaded bus cannot
-      // misattribute the estimate (see slot_waiting_queue.h). The estimate
-      // comes from the lane's charge FIFO, never from the ledger — a short
-      // task's kTaskDone handler may have run first and retired the job.
-      HAWK_CHECK_LT(started.slot, lane_charges_.size());
-      std::deque<int64_t>& charges = lane_charges_[started.slot];
-      HAWK_CHECK(!charges.empty()) << "start on lane " << started.slot
-                                   << " with no assignment charged";
-      const int64_t estimate_us = charges.front();
-      charges.pop_front();
-      waiting_.OnTaskStartLane(started.slot, NowUs(), estimate_us);
-      ++lane_running_[started.slot];
-      // Replay a finish that overtook this start, so the lane is never left
-      // marked executing with its completion already consumed.
-      if (lane_deferred_finishes_[started.slot] > 0) {
-        --lane_deferred_finishes_[started.slot];
-        --lane_running_[started.slot];
+      // Lane-routed feedback (see slot_waiting_queue.h): the echoed
+      // placement names the lane and the estimate charged there, so a start
+      // never consults the ledger, whose job a short task's kTaskDone
+      // handler may already have retired.
+      const TaskMsg& started = std::get<TaskMsg>(message.payload);
+      HAWK_CHECK_LT(started.slot, lane_balance_.size());
+      waiting_.OnTaskStartLane(started.slot, NowUs(), started.estimate_us);
+      if (++lane_balance_[started.slot] <= 0) {
+        // Replay the finish that overtook this start.
         waiting_.OnTaskFinishLane(started.slot, NowUs());
       }
       break;
@@ -327,17 +304,12 @@ void CentralBackend::HandleMessage(const BusMessage& message) {
     case kTaskDone: {
       const TaskMsg& done = std::get<TaskMsg>(message.payload);
       // Lane feedback first, and unconditionally: whichever copy finished
-      // did start on the echoed lane, so the running count and waiting-time
-      // estimate come back down even when the completion is a duplicate at
-      // the job level.
-      HAWK_CHECK_LT(done.slot, lane_running_.size());
-      if (lane_running_[done.slot] > 0) {
-        --lane_running_[done.slot];
+      // did start on the echoed lane, so the estimate comes back down even
+      // when the completion is a duplicate at the job level. A finish whose
+      // start has not been handled yet waits for that start to replay it.
+      HAWK_CHECK_LT(done.slot, lane_balance_.size());
+      if (--lane_balance_[done.slot] >= 0) {
         waiting_.OnTaskFinishLane(done.slot, NowUs());
-      } else {
-        // This task's own kTaskStarted handler has not run yet; park the
-        // finish for it to replay.
-        ++lane_deferred_finishes_[done.slot];
       }
       ledger_.Complete(done);
       break;
@@ -358,10 +330,9 @@ void CentralBackend::ReapOverdue() {
       if (ledger_.ReapIfOverdue(state.tasks[i], now)) {
         // Presumed dead with its node; place a fresh copy through the
         // waiting-time queue (which also re-arms the deadline, backed off
-        // by the bumped attempt count). The dead copy's lane charge stays
-        // in its FIFO — per-lane totals remain self-consistent because
-        // charges and starts pair up in lane order, and a never-started
-        // charge only pads that lane's estimate.
+        // by the bumped attempt count). A dead copy that never starts
+        // leaves its charge on its lane, which only pads that lane's
+        // estimate.
         PlaceTaskLocked(job, state, i);
       }
     }

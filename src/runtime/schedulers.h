@@ -16,7 +16,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <string>
@@ -111,31 +110,15 @@ struct FaultRecoveryPolicy {
   AdaptiveTimeout MakeDetectionWindow() const;
 };
 
-// One scheduler's recovery counters, named after the RunCounters fields
-// RunPrototype sums them into.
-struct RecoveryCounters {
-  uint64_t tasks_re_dispatched = 0;
-  uint64_t retries_suppressed = 0;
-  uint64_t tasks_abandoned = 0;
-  // A task reported done again, or for a job already retired: the copy
-  // recovery presumed dead (or a speculative twin) finished after all.
-  uint64_t duplicate_completions = 0;
-  // Frontend only — the backend neither probes nor speculates.
-  uint64_t probes_lost = 0;  // Probes re-sent to replace lost ones.
-  uint64_t tasks_speculated = 0;
-  uint64_t speculative_wasted_us = 0;
-
-  void AddTo(RunCounters* counters) const;
-};
-
 // The wall-clock recovery ledger both prototype schedulers keep for the jobs
 // they own: admission, per-task deadlines on the adaptive detection window,
 // the Karn's-rule estimator sample, retry-budget accounting, duplicate-
-// completion dedupe, and retirement of finished jobs into the sink. It has
-// no lock of its own: every member runs under the owning scheduler's mutex,
-// which the ledger takes itself only in the two readers the harness calls
-// from outside (JobProgress, Counters). `Extra` is the owner's own per-job
-// state.
+// completion dedupe, and retirement of finished jobs into the sink. It
+// counts recovery straight into the RunCounters fields RunPrototype reports.
+// It has no lock of its own: every member runs under the owning scheduler's
+// mutex, which the ledger takes itself only in the two readers the harness
+// calls from outside (JobProgress, Counters). `Extra` is the owner's own
+// per-job state.
 template <typename Extra>
 class RecoveryLedger {
  public:
@@ -165,7 +148,7 @@ class RecoveryLedger {
   }
 
   const FaultRecoveryPolicy& policy() const { return policy_; }
-  RecoveryCounters& counters() { return counters_; }
+  RunCounters& counters() { return counters_; }
   // The jobs this ledger holds, by id.
   std::unordered_map<JobId, Job>& owned() { return jobs_; }
 
@@ -277,7 +260,7 @@ class RecoveryLedger {
   }
 
   // A consistent snapshot of the counters. Locks the owner's mutex.
-  RecoveryCounters Counters() const {
+  RunCounters Counters() const {
     std::lock_guard<std::mutex> lock(*owner_mu_);
     return counters_;
   }
@@ -290,7 +273,7 @@ class RecoveryLedger {
   // unspeculated copies, Jacobson-smoothed.
   AdaptiveTimeout rto_;
   std::unordered_map<JobId, Job> jobs_;
-  RecoveryCounters counters_;
+  RunCounters counters_;
 };
 
 // A distributed scheduler frontend: owns the jobs submitted to it, places
@@ -402,22 +385,15 @@ class CentralBackend {
   // and that wait is genuine, not failure.
   Ledger ledger_;
   SlotWaitingTimeQueue waiting_;
-  // Per-lane reorder absorption for the multi-threaded bus, where a short
-  // task's kTaskDone handler can run before its own kTaskStarted handler
-  // (and before the job record would be consulted):
-  //   - lane_charges_: estimates charged at assignment, discharged by
-  //     starts in per-lane FIFO order. Charges always precede placements,
-  //     so a lane's deque is never empty when its start arrives, whatever
-  //     the delivery order; if two same-lane tasks' starts swap, their
-  //     estimates swap with them — per-lane totals stay exact.
-  //   - lane_running_ / lane_deferred_finishes_: starts-minus-finishes
-  //     applied to the waiting queue, and finishes that arrived before any
-  //     matching start. An early finish is parked and replayed right after
-  //     the start lands, so a lane can never end up marked executing with
-  //     no finish coming.
-  std::vector<std::deque<int64_t>> lane_charges_;
-  std::vector<uint32_t> lane_running_;
-  std::vector<uint32_t> lane_deferred_finishes_;
+  // Per-lane starts minus finishes, absorbing reorder on the multi-threaded
+  // bus, where a task's kTaskDone handler can run before its own
+  // kTaskStarted handler. Each start discharges the estimate its own
+  // placement stamped (TaskMsg::estimate_us), so only the finishes need
+  // pairing: a finish applies to the waiting queue only while the count
+  // stays >= 0, and otherwise waits for its start, which replays it when the
+  // count is still <= 0 after the start. A lane is therefore never left
+  // marked executing with its finish already consumed.
+  std::vector<int32_t> lane_balance_;
   std::chrono::steady_clock::time_point epoch_;
 
   SimTime NowUs() const {

@@ -3,6 +3,7 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <utility>
 
 #include "src/common/check.h"
 #include "src/core/hawk_scheduler.h"
@@ -128,6 +129,26 @@ std::string FormatAxisValue(double value) {
   return buf;
 }
 
+// The checks ResolveSpec makes before building anything: a trace, a config
+// that passes Validate, and a registered scheduler, whose entry it returns.
+StatusOr<const SchedulerRegistry::Entry*> CheckSpec(const ExperimentSpec& spec) {
+  if (spec.trace == nullptr) {
+    return Status::Error("experiment '" + spec.Label() + "' has no trace");
+  }
+  const Status valid = spec.config.Validate();
+  if (!valid.ok()) {
+    return Status::Error("invalid config for experiment '" + spec.Label() +
+                         "': " + valid.message());
+  }
+  const SchedulerRegistry::Entry* entry = SchedulerRegistry::Global().Find(spec.scheduler);
+  if (entry == nullptr) {
+    return Status::Error("unknown scheduler '" + spec.scheduler +
+                         "'; registered schedulers: " +
+                         SchedulerRegistry::Global().JoinedNames());
+  }
+  return entry;
+}
+
 }  // namespace
 
 SweepSpec& SweepSpec::Vary(std::string_view field, std::vector<double> values) {
@@ -230,27 +251,32 @@ std::vector<ExperimentSpec> SweepSpec::Expand() const {
   return specs;
 }
 
-RunResult RunExperiment(const ExperimentSpec& spec) {
-  HAWK_CHECK(spec.trace != nullptr) << "experiment '" << spec.Label() << "' has no trace";
-  const Status status = spec.config.Validate();
-  HAWK_CHECK(status.ok()) << "invalid config for experiment '" << spec.Label()
-                          << "': " << status.message();
-  const SchedulerRegistry::Entry* entry = SchedulerRegistry::Global().Find(spec.scheduler);
-  if (entry == nullptr) {
-    HAWK_CHECK(false) << "unknown scheduler '" << spec.scheduler
-                      << "'; registered schedulers: "
-                      << SchedulerRegistry::Global().JoinedNames();
+StatusOr<ResolvedSpec> ResolveSpec(const ExperimentSpec& spec) {
+  const StatusOr<const SchedulerRegistry::Entry*> entry = CheckSpec(spec);
+  if (!entry.ok()) {
+    return entry.status();
   }
-  const std::unique_ptr<SchedulerPolicy> policy = entry->factory(spec.config);
-  HAWK_CHECK(policy != nullptr) << "scheduler '" << spec.scheduler
-                                << "' factory returned null";
-  const uint32_t general_count =
-      entry->general_count ? entry->general_count(spec.config) : spec.config.num_workers;
+  ResolvedSpec resolved;
+  resolved.policy = entry.value()->factory(spec.config);
+  if (resolved.policy == nullptr) {
+    return Status::Error("scheduler '" + spec.scheduler + "' factory returned null");
+  }
+  resolved.general_count = entry.value()->general_count
+                               ? entry.value()->general_count(spec.config)
+                               : spec.config.num_workers;
+  return StatusOr<ResolvedSpec>(std::move(resolved));
+}
+
+RunResult RunExperiment(const ExperimentSpec& spec) {
+  StatusOr<ResolvedSpec> resolved = ResolveSpec(spec);
+  HAWK_CHECK(resolved.ok()) << resolved.status().message();
+  SchedulerPolicy* policy = resolved.value().policy.get();
+  const uint32_t general_count = resolved.value().general_count;
   if (spec.config.sim_shards > 1) {
-    ShardedSimulationDriver driver(spec.trace, spec.config, general_count, policy.get());
+    ShardedSimulationDriver driver(spec.trace, spec.config, general_count, policy);
     return driver.Run();
   }
-  SimulationDriver driver(spec.trace, spec.config, general_count, policy.get());
+  SimulationDriver driver(spec.trace, spec.config, general_count, policy);
   return driver.Run();
 }
 
@@ -261,15 +287,11 @@ RunResult RunExperiment(const Trace& trace, const HawkConfig& config,
 }
 
 std::vector<SweepRun> RunExperiments(std::vector<ExperimentSpec> specs, uint32_t num_threads) {
-  // Fail fast on the whole grid before burning any simulation time.
+  // Fail fast on the whole grid before burning any simulation time. The
+  // check builds no policy: each run's factory call belongs to that run.
   for (const ExperimentSpec& spec : specs) {
-    HAWK_CHECK(spec.trace != nullptr) << "experiment '" << spec.Label() << "' has no trace";
-    const Status status = spec.config.Validate();
-    HAWK_CHECK(status.ok()) << "invalid config for experiment '" << spec.Label()
-                            << "': " << status.message();
-    HAWK_CHECK(SchedulerRegistry::Global().Contains(spec.scheduler))
-        << "unknown scheduler '" << spec.scheduler << "' in experiment '" << spec.Label()
-        << "'";
+    const StatusOr<const SchedulerRegistry::Entry*> entry = CheckSpec(spec);
+    HAWK_CHECK(entry.ok()) << entry.status().message();
   }
   const SweepRunner runner(num_threads);
   std::vector<RunResult> results =

@@ -21,13 +21,16 @@
 #define HAWK_SCHEDULER_EXPERIMENT_H_
 
 #include <functional>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
 #include "src/cluster/results.h"
+#include "src/common/status.h"
 #include "src/core/hawk_config.h"
+#include "src/scheduler/policy.h"
 #include "src/workload/trace.h"
 
 namespace hawk {
@@ -121,9 +124,23 @@ class SweepSpec {
   std::vector<Axis> axes_;
 };
 
-// Runs one spec to completion: validates the config (aborting loudly on a
-// bad one), instantiates the scheduler through the global registry (aborting
-// on an unknown name), and drives the simulation. Deterministic: the spec
+// A spec resolved for one run: its scheduler's freshly built policy and the
+// size of the general partition that scheduler asks for.
+struct ResolvedSpec {
+  std::unique_ptr<SchedulerPolicy> policy;
+  uint32_t general_count = 0;
+};
+
+// The one resolution both executors run a spec through: checks that it has
+// a trace and a config that passes Validate, looks its scheduler up in the
+// global registry, builds the policy and derives general_count (the whole
+// cluster when the scheduler registered no partition sizing). Every failure
+// is an error Status, so RunExperiment and runtime::RunPrototype reject the
+// same specs with the same messages.
+StatusOr<ResolvedSpec> ResolveSpec(const ExperimentSpec& spec);
+
+// Runs one spec to completion: resolves it (aborting loudly on any error
+// ResolveSpec reports) and drives the simulation. Deterministic: the spec
 // fully determines the result.
 RunResult RunExperiment(const ExperimentSpec& spec);
 

@@ -6,47 +6,6 @@
 namespace hawk {
 namespace {
 
-// Field-wise sum of two counter sets. Every RunCounters field is an additive
-// event/time tally, so per-shard counters merge into the coordinator's by
-// plain summation. Listed explicitly, so a new RunCounters field must be
-// added here. No test can catch an omission (sharded runs only agree with
-// each other, and an unmerged field reads 0 in all of them), hence the
-// size check.
-static_assert(sizeof(RunCounters) == 30 * sizeof(uint64_t),
-              "RunCounters changed: add the new field to MergeCounters");
-void MergeCounters(RunCounters& into, const RunCounters& from) {
-  into.jobs += from.jobs;
-  into.tasks_launched += from.tasks_launched;
-  into.probes_placed += from.probes_placed;
-  into.probe_requests += from.probe_requests;
-  into.cancels += from.cancels;
-  into.central_tasks_placed += from.central_tasks_placed;
-  into.steal_attempts += from.steal_attempts;
-  into.steal_victim_probes += from.steal_victim_probes;
-  into.steal_successes += from.steal_successes;
-  into.entries_stolen += from.entries_stolen;
-  into.events += from.events;
-  into.short_tasks_started += from.short_tasks_started;
-  into.long_tasks_started += from.long_tasks_started;
-  into.short_queue_wait_us += from.short_queue_wait_us;
-  into.long_queue_wait_us += from.long_queue_wait_us;
-  into.worker_crashes += from.worker_crashes;
-  into.worker_departures += from.worker_departures;
-  into.worker_rejoins += from.worker_rejoins;
-  into.messages_dropped += from.messages_dropped;
-  into.message_retries += from.message_retries;
-  into.tasks_re_dispatched += from.tasks_re_dispatched;
-  into.probes_lost += from.probes_lost;
-  into.duplicate_completions += from.duplicate_completions;
-  into.wasted_work_us += from.wasted_work_us;
-  into.tasks_speculated += from.tasks_speculated;
-  into.speculative_wins += from.speculative_wins;
-  into.speculative_wasted_us += from.speculative_wasted_us;
-  into.retries_suppressed += from.retries_suppressed;
-  into.tasks_abandoned += from.tasks_abandoned;
-  into.node_suspicions += from.node_suspicions;
-}
-
 // Light busy-wait hint for the spin loops (a no-op fallback elsewhere).
 inline void CpuRelax() {
 #if defined(__x86_64__) || defined(__i386__)
@@ -230,7 +189,7 @@ RunResult ShardedSimulationDriver::Run() {
   }
   StopPool();
   for (const Shard& shard : shards_) {
-    MergeCounters(result_.counters, shard.counters);
+    result_.counters += shard.counters;
   }
   return Finish();
 }

@@ -440,7 +440,8 @@ std::deque<runtime::MonitorEntry> MonitorQueueOf(const std::vector<QueueEntry>& 
       out.push_back(runtime::ProbeMsg::Make(e.job, runtime::kFrontendBase, 0, e.is_long));
     } else {
       out.push_back(runtime::TaskMsg::Place(e.job, e.task_index, e.duration, e.is_long,
-                                            runtime::kBackendAddress, 0));
+                                            runtime::kBackendAddress, /*slot=*/0,
+                                            /*estimate_us=*/0));
     }
   }
   return out;

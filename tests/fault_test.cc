@@ -231,24 +231,24 @@ Trace WallClockTrace(uint32_t jobs, uint32_t tasks, DurationUs task_us, SimTime 
 TEST(PrototypeFaultTest, CrashedMonitorsRecoverViaReDispatch) {
   const Trace trace = WallClockTrace(/*jobs=*/12, /*tasks=*/4, /*task_us=*/60'000,
                                      /*spacing_us=*/50'000);
-  runtime::PrototypeConfig config;
-  config.scheduler = "sparrow";
-  config.hawk.num_workers = 8;
-  config.hawk.classify_mode = ClassifyMode::kHint;
-  config.hawk.net_delay_us = 200;
-  config.hawk.util_sample_period_us = 20'000;
+  ExperimentSpec spec = ExperimentSpec("sparrow").WithTrace(&trace);
+  runtime::PrototypeConfig knobs;
+  spec.config.num_workers = 8;
+  spec.config.classify_mode = ClassifyMode::kHint;
+  spec.config.net_delay_us = 200;
+  knobs.util_sample_period = std::chrono::milliseconds(20);
   // Mean time to first crash ~25 ms against a ~600 ms submission span: the
   // run sees many crash/rejoin cycles with overwhelming probability, while
   // each 60 ms task still survives its 200 ms per-worker MTBF often enough
   // for re-dispatch to converge quickly.
-  config.hawk.worker_crash_rate = 5.0;
-  config.hawk.worker_downtime_us = 80'000;
-  config.hawk.fault_seed = EnvFaultSeed(1);
-  config.num_frontends = 2;
-  config.fault_detection_timeout = std::chrono::milliseconds(80);
-  config.reap_period = std::chrono::milliseconds(20);
-  config.timeout = std::chrono::milliseconds(60'000);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+  spec.config.worker_crash_rate = 5.0;
+  spec.config.worker_downtime_us = 80'000;
+  spec.config.fault_seed = EnvFaultSeed(1);
+  knobs.num_frontends = 2;
+  knobs.fault_detection_timeout = std::chrono::milliseconds(80);
+  knobs.reap_period = std::chrono::milliseconds(20);
+  knobs.timeout = std::chrono::milliseconds(60'000);
+  const StatusOr<RunResult> result = runtime::RunPrototype(spec, knobs);
   ASSERT_TRUE(result.ok()) << result.status().message();
   ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
   EXPECT_GT(result.value().counters.worker_crashes, 0u);
@@ -278,21 +278,22 @@ TEST(PrototypeFaultTest, DuplicateCompletionsAreCountedAndDeduped) {
   trace.SortAndRenumber();
   for (const uint32_t budget : {16u, 1u}) {
     SCOPED_TRACE("retry_budget " + std::to_string(budget));
-    runtime::PrototypeConfig config;
-    config.scheduler = "centralized";  // Every task queues via kTaskPlace.
-    config.hawk.num_workers = 2;
-    config.hawk.classify_mode = ClassifyMode::kHint;
-    config.hawk.net_delay_us = 200;
-    config.hawk.util_sample_period_us = 20'000;
-    config.hawk.retry_budget = budget;
+    // Every task queues via kTaskPlace.
+    ExperimentSpec spec = ExperimentSpec("centralized").WithTrace(&trace);
+    runtime::PrototypeConfig knobs;
+    spec.config.num_workers = 2;
+    spec.config.classify_mode = ClassifyMode::kHint;
+    spec.config.net_delay_us = 200;
+    knobs.util_sample_period = std::chrono::milliseconds(20);
+    spec.config.retry_budget = budget;
     // Enable the fault layer without any actual fault: 1 us of jitter turns
     // on the reaper, whose 10 ms detection window is far shorter than the
     // squeezed job's queueing delay.
-    config.hawk.message_delay_jitter_us = 1;
-    config.fault_detection_timeout = std::chrono::milliseconds(10);
-    config.reap_period = std::chrono::milliseconds(10);
-    config.timeout = std::chrono::milliseconds(60'000);
-    const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+    spec.config.message_delay_jitter_us = 1;
+    knobs.fault_detection_timeout = std::chrono::milliseconds(10);
+    knobs.reap_period = std::chrono::milliseconds(10);
+    knobs.timeout = std::chrono::milliseconds(60'000);
+    const StatusOr<RunResult> result = runtime::RunPrototype(spec, knobs);
     ASSERT_TRUE(result.ok()) << result.status().message();
     // Exactly one completion per job despite the duplicates.
     ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
@@ -349,7 +350,7 @@ TEST(RecoveryLedgerTest, AccountsTheRetryBudget) {
       // A copy presumed dead finishing after its job retired.
       EXPECT_EQ(ledger.Complete(runtime::TaskMsg::Grant(7, 1, 1'000, false, 0)), nullptr);
     }
-    const runtime::RecoveryCounters counters = ledger.Counters();
+    const RunCounters counters = ledger.Counters();
     const uint64_t within = 2 * std::min<uint64_t>(3, budget);
     EXPECT_EQ(counters.tasks_re_dispatched, within);
     EXPECT_EQ(counters.retries_suppressed, 6 - within);
@@ -369,19 +370,19 @@ TEST(RecoveryLedgerTest, AccountsTheRetryBudget) {
 TEST(PrototypeFaultTest, SpeculationClonesStragglersAndCompletesEachJobOnce) {
   const Trace trace = WallClockTrace(/*jobs=*/10, /*tasks=*/4, /*task_us=*/20'000,
                                      /*spacing_us=*/30'000);
-  runtime::PrototypeConfig config;
-  config.scheduler = "hawk-spec";
-  config.hawk.num_workers = 8;
-  config.hawk.classify_mode = ClassifyMode::kHint;
-  config.hawk.net_delay_us = 200;
-  config.hawk.util_sample_period_us = 20'000;
-  config.hawk.straggler_rate = 0.3;
-  config.hawk.straggler_slowdown_factor = 4.0;
-  config.num_frontends = 2;
+  ExperimentSpec spec = ExperimentSpec("hawk-spec").WithTrace(&trace);
+  runtime::PrototypeConfig knobs;
+  spec.config.num_workers = 8;
+  spec.config.classify_mode = ClassifyMode::kHint;
+  spec.config.net_delay_us = 200;
+  knobs.util_sample_period = std::chrono::milliseconds(20);
+  spec.config.straggler_rate = 0.3;
+  spec.config.straggler_slowdown_factor = 4.0;
+  knobs.num_frontends = 2;
   // Scan well inside a straggler's 80 ms so the 40 ms threshold is seen.
-  config.reap_period = std::chrono::milliseconds(10);
-  config.timeout = std::chrono::milliseconds(60'000);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+  knobs.reap_period = std::chrono::milliseconds(10);
+  knobs.timeout = std::chrono::milliseconds(60'000);
+  const StatusOr<RunResult> result = runtime::RunPrototype(spec, knobs);
   ASSERT_TRUE(result.ok()) << result.status().message();
   ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
   for (size_t i = 0; i < trace.NumJobs(); ++i) {
@@ -397,17 +398,17 @@ TEST(PrototypeFaultTest, SpeculationClonesStragglersAndCompletesEachJobOnce) {
 TEST(PrototypeFaultTest, StragglersSlowRealExecutorsButEverythingCompletes) {
   const Trace trace = WallClockTrace(/*jobs=*/10, /*tasks=*/4, /*task_us=*/20'000,
                                      /*spacing_us=*/30'000);
-  runtime::PrototypeConfig config;
-  config.scheduler = "hawk";
-  config.hawk.num_workers = 8;
-  config.hawk.classify_mode = ClassifyMode::kHint;
-  config.hawk.net_delay_us = 200;
-  config.hawk.util_sample_period_us = 20'000;
-  config.hawk.straggler_rate = 0.3;
-  config.hawk.straggler_slowdown_factor = 4.0;
-  config.num_frontends = 2;
-  config.timeout = std::chrono::milliseconds(60'000);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+  ExperimentSpec spec = ExperimentSpec("hawk").WithTrace(&trace);
+  runtime::PrototypeConfig knobs;
+  spec.config.num_workers = 8;
+  spec.config.classify_mode = ClassifyMode::kHint;
+  spec.config.net_delay_us = 200;
+  knobs.util_sample_period = std::chrono::milliseconds(20);
+  spec.config.straggler_rate = 0.3;
+  spec.config.straggler_slowdown_factor = 4.0;
+  knobs.num_frontends = 2;
+  knobs.timeout = std::chrono::milliseconds(60'000);
+  const StatusOr<RunResult> result = runtime::RunPrototype(spec, knobs);
   ASSERT_TRUE(result.ok()) << result.status().message();
   ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
   // With 40 tasks at rate 0.3 a zero-straggler run is a ~6e-7 event.
@@ -427,21 +428,21 @@ TEST(PrototypeFaultTest, StragglersSlowRealExecutorsButEverythingCompletes) {
 TEST(PrototypeFaultTest, HeartbeatDetectorSuspectsCrashedNodes) {
   const Trace trace = WallClockTrace(/*jobs=*/12, /*tasks=*/4, /*task_us=*/40'000,
                                      /*spacing_us=*/60'000);
-  runtime::PrototypeConfig config;
-  config.scheduler = "sparrow";
-  config.hawk.num_workers = 8;
-  config.hawk.classify_mode = ClassifyMode::kHint;
-  config.hawk.net_delay_us = 200;
-  config.hawk.util_sample_period_us = 20'000;
-  config.hawk.worker_crash_rate = 3.0;
-  config.hawk.worker_downtime_us = 400'000;  // >> the 3 x 20 ms suspicion floor.
-  config.hawk.fault_seed = EnvFaultSeed(4);
-  config.num_frontends = 2;
-  config.heartbeat_period = std::chrono::milliseconds(20);
-  config.fault_detection_timeout = std::chrono::milliseconds(80);
-  config.reap_period = std::chrono::milliseconds(20);
-  config.timeout = std::chrono::milliseconds(60'000);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+  ExperimentSpec spec = ExperimentSpec("sparrow").WithTrace(&trace);
+  runtime::PrototypeConfig knobs;
+  spec.config.num_workers = 8;
+  spec.config.classify_mode = ClassifyMode::kHint;
+  spec.config.net_delay_us = 200;
+  knobs.util_sample_period = std::chrono::milliseconds(20);
+  spec.config.worker_crash_rate = 3.0;
+  spec.config.worker_downtime_us = 400'000;  // >> the 3 x 20 ms suspicion floor.
+  spec.config.fault_seed = EnvFaultSeed(4);
+  knobs.num_frontends = 2;
+  knobs.heartbeat_period = std::chrono::milliseconds(20);
+  knobs.fault_detection_timeout = std::chrono::milliseconds(80);
+  knobs.reap_period = std::chrono::milliseconds(20);
+  knobs.timeout = std::chrono::milliseconds(60'000);
+  const StatusOr<RunResult> result = runtime::RunPrototype(spec, knobs);
   ASSERT_TRUE(result.ok()) << result.status().message();
   ASSERT_EQ(result.value().jobs.size(), trace.NumJobs());
   EXPECT_GT(result.value().counters.worker_crashes, 0u);

@@ -121,7 +121,6 @@ MessageBus::FaultInjection Lossy(uint64_t seed) {
   MessageBus::FaultInjection faults;
   faults.loss_rate = 0.3;
   faults.seed = seed;
-  faults.droppable = [](MessageType type) { return type == kProbe || type == kHeartbeat; };
   return faults;
 }
 

@@ -5,15 +5,22 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <limits>
 #include <memory>
+#include <mutex>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "src/cluster/cluster.h"
+#include "src/common/check.h"
 #include "src/core/hawk_scheduler.h"
 #include "src/metrics/comparison.h"
+#include "src/runtime/message_bus.h"
 #include "src/runtime/prototype_cluster.h"
+#include "src/runtime/proto_messages.h"
 #include "src/runtime/schedulers.h"
 #include "src/scheduler/experiment.h"
 #include "src/scheduler/registry.h"
@@ -56,20 +63,28 @@ Trace SmallScaledTrace(uint32_t jobs, uint64_t seed, double util, uint32_t total
   return trace;
 }
 
-// Wall-clock-friendly runtime knobs shared by all tests; the scheduler and
-// the cluster shape come from the (shared, validated) HawkConfig.
-runtime::PrototypeConfig SmallConfig(std::string scheduler, uint32_t workers = 40,
-                                     uint32_t slots = 1) {
-  runtime::PrototypeConfig config;
-  config.scheduler = std::move(scheduler);
-  config.hawk.num_workers = workers;
-  config.hawk.slots_per_worker = slots;
-  config.hawk.classify_mode = ClassifyMode::kHint;
-  config.hawk.net_delay_us = 200;
-  config.hawk.util_sample_period_us = 20'000;
-  config.num_frontends = 4;
-  config.timeout = std::chrono::milliseconds(60'000);
+// The shared HawkConfig of the tests' specs: the cluster shape and the
+// classification, as a simulation of the same fleet would use.
+HawkConfig SmallHawk(uint32_t workers = 40, uint32_t slots = 1) {
+  HawkConfig config;
+  config.num_workers = workers;
+  config.slots_per_worker = slots;
+  config.classify_mode = ClassifyMode::kHint;
+  config.net_delay_us = 200;
   return config;
+}
+
+ExperimentSpec SmallSpec(std::string scheduler, const Trace& trace) {
+  return ExperimentSpec(std::move(scheduler)).WithConfig(SmallHawk()).WithTrace(&trace);
+}
+
+// Wall-clock-friendly harness knobs shared by all tests.
+runtime::PrototypeConfig SmallKnobs() {
+  runtime::PrototypeConfig knobs;
+  knobs.num_frontends = 4;
+  knobs.timeout = std::chrono::milliseconds(60'000);
+  knobs.util_sample_period = std::chrono::milliseconds(20);
+  return knobs;
 }
 
 void CheckPrototypeInvariants(const Trace& trace, const RunResult& result) {
@@ -85,7 +100,7 @@ void CheckPrototypeInvariants(const Trace& trace, const RunResult& result) {
 
 TEST(PrototypeTest, HawkCompletesAllJobs) {
   const Trace trace = SmallScaledTrace(30, 3, 0.8, 40);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("hawk"));
+  const StatusOr<RunResult> result = runtime::RunPrototype(SmallSpec("hawk", trace), SmallKnobs());
   ASSERT_TRUE(result.ok()) << result.status().message();
   CheckPrototypeInvariants(trace, result.value());
   EXPECT_GT(result.value().counters.events, trace.TotalTasks());  // RPC traffic happened.
@@ -93,7 +108,8 @@ TEST(PrototypeTest, HawkCompletesAllJobs) {
 
 TEST(PrototypeTest, SparrowCompletesAllJobs) {
   const Trace trace = SmallScaledTrace(30, 5, 0.8, 40);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("sparrow"));
+  const StatusOr<RunResult> result =
+      runtime::RunPrototype(SmallSpec("sparrow", trace), SmallKnobs());
   ASSERT_TRUE(result.ok()) << result.status().message();
   CheckPrototypeInvariants(trace, result.value());
   // Sparrow's runtime shape has no backend and no stealing.
@@ -107,7 +123,8 @@ TEST(PrototypeTest, CentralizedAndSplitRunThroughTheirShapes) {
   const Trace trace = SmallScaledTrace(24, 13, 0.7, 40);
   for (const char* scheduler : {"centralized", "split"}) {
     SCOPED_TRACE(scheduler);
-    const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig(scheduler));
+    const StatusOr<RunResult> result =
+        runtime::RunPrototype(SmallSpec(scheduler, trace), SmallKnobs());
     ASSERT_TRUE(result.ok()) << result.status().message();
     CheckPrototypeInvariants(trace, result.value());
     EXPECT_EQ(result.value().counters.entries_stolen, 0u);
@@ -116,7 +133,7 @@ TEST(PrototypeTest, CentralizedAndSplitRunThroughTheirShapes) {
 
 TEST(PrototypeTest, StealingActivatesUnderLoad) {
   const Trace trace = SmallScaledTrace(60, 7, 1.3, 40);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("hawk"));
+  const StatusOr<RunResult> result = runtime::RunPrototype(SmallSpec("hawk", trace), SmallKnobs());
   ASSERT_TRUE(result.ok()) << result.status().message();
   CheckPrototypeInvariants(trace, result.value());
   EXPECT_GT(result.value().counters.steal_attempts, 0u);
@@ -127,11 +144,11 @@ TEST(PrototypeTest, NoStealAttemptsWithoutStealing) {
   // makes hawk steal above, hawk with steal_cap = 0 and sparrow, whose shape
   // does not steal, must not even attempt a steal.
   const Trace trace = SmallScaledTrace(60, 7, 1.3, 40);
-  runtime::PrototypeConfig no_cap = SmallConfig("hawk");
-  no_cap.hawk.steal_cap = 0;
-  for (const runtime::PrototypeConfig& config : {no_cap, SmallConfig("sparrow")}) {
-    SCOPED_TRACE(config.scheduler);
-    const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
+  ExperimentSpec no_cap = SmallSpec("hawk", trace);
+  no_cap.config.steal_cap = 0;
+  for (const ExperimentSpec& spec : {no_cap, SmallSpec("sparrow", trace)}) {
+    SCOPED_TRACE(spec.scheduler);
+    const StatusOr<RunResult> result = runtime::RunPrototype(spec, SmallKnobs());
     ASSERT_TRUE(result.ok()) << result.status().message();
     CheckPrototypeInvariants(trace, result.value());
     EXPECT_EQ(result.value().counters.steal_attempts, 0u);
@@ -141,7 +158,7 @@ TEST(PrototypeTest, NoStealAttemptsWithoutStealing) {
 
 TEST(PrototypeTest, UtilizationSamplesCollected) {
   const Trace trace = SmallScaledTrace(30, 9, 0.8, 40);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("hawk"));
+  const StatusOr<RunResult> result = runtime::RunPrototype(SmallSpec("hawk", trace), SmallKnobs());
   ASSERT_TRUE(result.ok()) << result.status().message();
   EXPECT_GT(result.value().utilization_samples.size(), 3u);
   for (const double u : result.value().utilization_samples) {
@@ -154,47 +171,101 @@ TEST(PrototypeTest, ExternallyRegisteredSchedulerRunsOnThePrototype) {
   // Anything in the registry is a prototype citizen; hawk-dchoice is the
   // in-library registered variant (its shape inherits Hawk's control plane).
   const Trace trace = SmallScaledTrace(30, 15, 0.9, 40);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig("hawk-dchoice"));
+  const StatusOr<RunResult> result =
+      runtime::RunPrototype(SmallSpec("hawk-dchoice", trace), SmallKnobs());
   ASSERT_TRUE(result.ok()) << result.status().message();
   CheckPrototypeInvariants(trace, result.value());
 }
 
 // --- spec-driven entry point and failure paths ------------------------------
 
-TEST(PrototypeSpecTest, UnknownSchedulerNameIsACleanStatus) {
+// Registers (once) a scheduler whose factory returns null.
+const char* NullFactoryScheduler() {
+  const char* kName = "test-null-factory";
+  if (!SchedulerRegistry::Global().Contains(kName)) {
+    const Status registered = SchedulerRegistry::Global().Register(
+        kName, [](const HawkConfig&) -> std::unique_ptr<SchedulerPolicy> { return nullptr; });
+    HAWK_CHECK(registered.ok()) << registered.message();
+  }
+  return kName;
+}
+
+// Both executors resolve a spec through ResolveSpec, so a spec one rejects
+// the other rejects with the same message: an abort from RunExperiment, a
+// Status from RunPrototype.
+TEST(PrototypeSpecDeathTest, BadSpecsFailAlikeInBothExecutors) {
   const Trace trace = SmallScaledTrace(5, 17, 0.5, 40);
-  runtime::PrototypeConfig config = SmallConfig("no-such-scheduler");
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, config);
-  ASSERT_FALSE(result.ok());
-  EXPECT_NE(result.status().message().find("unknown scheduler"), std::string::npos);
-  EXPECT_NE(result.status().message().find("no-such-scheduler"), std::string::npos);
-  // The spec entry point takes the same path.
-  const StatusOr<RunResult> via_spec = runtime::RunPrototype(
-      ExperimentSpec("still-not-registered").WithConfig(config.hawk).WithTrace(&trace),
-      config);
-  ASSERT_FALSE(via_spec.ok());
-  EXPECT_NE(via_spec.status().message().find("unknown scheduler"), std::string::npos);
+  ExperimentSpec invalid = SmallSpec("hawk", trace);
+  invalid.config.probe_ratio = 0;
+  const struct {
+    ExperimentSpec spec;
+    const char* message;
+  } cases[] = {
+      {ExperimentSpec("hawk").WithConfig(SmallHawk()).WithLabel("traceless"),
+       "experiment 'traceless' has no trace"},
+      {invalid, "invalid config for experiment 'hawk': probe_ratio"},
+      {SmallSpec("no-such-scheduler", trace),
+       "unknown scheduler 'no-such-scheduler'; registered schedulers: "},
+      {SmallSpec(NullFactoryScheduler(), trace),
+       "scheduler 'test-null-factory' factory returned null"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.message);
+    EXPECT_DEATH({ RunExperiment(c.spec); }, c.message);
+    const StatusOr<RunResult> result = runtime::RunPrototype(c.spec, SmallKnobs());
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find(c.message), std::string::npos)
+        << result.status().message();
+  }
 }
 
 TEST(PrototypeSpecTest, InvalidConfigsAreCleanStatuses) {
   const Trace trace = SmallScaledTrace(5, 19, 0.5, 40);
-  runtime::PrototypeConfig config = SmallConfig("hawk");
-  config.num_frontends = 0;
-  EXPECT_FALSE(runtime::RunPrototype(trace, config).ok());
-  config = SmallConfig("hawk");
-  config.hawk.probe_ratio = 0;  // Invalid by HawkConfig::Validate.
-  EXPECT_FALSE(runtime::RunPrototype(trace, config).ok());
-  const StatusOr<RunResult> no_trace =
-      runtime::RunPrototype(ExperimentSpec("hawk"), SmallConfig("hawk"));
-  ASSERT_FALSE(no_trace.ok());
-  EXPECT_NE(no_trace.status().message().find("no trace"), std::string::npos);
+  // Every harness knob at an invalid value, each named in its Status.
+  const struct {
+    const char* knob;
+    void (*spoil)(runtime::PrototypeConfig&);
+  } knobs[] = {
+      {"num_frontends", [](runtime::PrototypeConfig& k) { k.num_frontends = 0; }},
+      {"timeout", [](runtime::PrototypeConfig& k) { k.timeout = {}; }},
+      {"fault_detection_timeout",
+       [](runtime::PrototypeConfig& k) { k.fault_detection_timeout = {}; }},
+      {"reap_period",
+       [](runtime::PrototypeConfig& k) { k.reap_period = std::chrono::milliseconds(-1); }},
+      {"heartbeat_period", [](runtime::PrototypeConfig& k) { k.heartbeat_period = {}; }},
+      {"util_sample_period", [](runtime::PrototypeConfig& k) { k.util_sample_period = {}; }},
+  };
+  for (const auto& knob : knobs) {
+    SCOPED_TRACE(knob.knob);
+    runtime::PrototypeConfig spoiled = SmallKnobs();
+    knob.spoil(spoiled);
+    const StatusOr<RunResult> result = runtime::RunPrototype(SmallSpec("hawk", trace), spoiled);
+    ASSERT_FALSE(result.ok());
+    EXPECT_NE(result.status().message().find(knob.knob), std::string::npos)
+        << result.status().message();
+  }
   // A scheduler whose shape needs a short partition, on a config without
   // one: a clean Status, not the factory/Attach abort the simulator gets.
-  config = SmallConfig("split");
-  config.hawk.short_partition_fraction = 0.0;
-  const StatusOr<RunResult> no_partition = runtime::RunPrototype(trace, config);
+  ExperimentSpec split = SmallSpec("split", trace);
+  split.config.short_partition_fraction = 0.0;
+  const StatusOr<RunResult> no_partition = runtime::RunPrototype(split, SmallKnobs());
   ASSERT_FALSE(no_partition.ok());
   EXPECT_NE(no_partition.status().message().find("short partition"), std::string::npos);
+}
+
+TEST(PrototypeSpecTest, WorkerChurnIsRejected) {
+  // Graceful drain exists only in the simulator. A churn rate must fail
+  // loudly rather than run a fault-free schedule with the recovery reaper
+  // and the failure detector armed.
+  const Trace trace = SmallScaledTrace(5, 29, 0.5, 40);
+  ExperimentSpec spec = SmallSpec("hawk", trace);
+  spec.config.worker_churn_rate = 1.0;
+  spec.config.worker_downtime_us = 50'000;
+  ASSERT_TRUE(spec.config.Validate().ok());
+  const StatusOr<RunResult> result = runtime::RunPrototype(spec, SmallKnobs());
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("worker_churn_rate"), std::string::npos)
+      << result.status().message();
 }
 
 TEST(PrototypeSpecTest, CentralShortTasksWithStealingIsACleanStatus) {
@@ -212,7 +283,7 @@ TEST(PrototypeSpecTest, CentralShortTasksWithStealingIsACleanStatus) {
     ASSERT_TRUE(registered.ok()) << registered.message();
   }
   const Trace trace = SmallScaledTrace(5, 23, 0.5, 40);
-  const StatusOr<RunResult> result = runtime::RunPrototype(trace, SmallConfig(kName));
+  const StatusOr<RunResult> result = runtime::RunPrototype(SmallSpec(kName, trace), SmallKnobs());
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("places short tasks centrally and steals"),
             std::string::npos)
@@ -235,6 +306,64 @@ TEST(CompletionSinkTest, TimeoutNamesOutstandingJobs) {
   EXPECT_EQ(sink.TakeAll().size(), 3u);
 }
 
+// --- the backend's lane feedback -------------------------------------------
+
+// The backend's lane accounting under delivery reorder, driven without node
+// monitors: one delivery thread and zero latency deliver in send order, fake
+// monitor endpoints record placements, and estimates of ~1000 s keep every
+// lane's waiting time fixed for the test's wall-clock span. Job 1 lands on
+// lane 0 and job 2 on lane 1; job 2 starts, then job 1 finishes and starts
+// in the order under test. Whichever order job 1's reports arrive in, lane 0
+// ends drained, so job 3 goes there rather than behind job 2 on lane 1.
+TEST(CentralBackendTest, FinishBeforeStartFreesTheLaneLikeStartFirst) {
+  constexpr int64_t kEstimateUs = 1'000'000'000;
+  for (const bool finish_first : {false, true}) {
+    SCOPED_TRACE(finish_first ? "finish first" : "start first");
+    const Cluster layout(/*num_workers=*/2, /*general_count=*/2);
+    runtime::MessageBus bus(std::chrono::microseconds(0), /*delivery_threads=*/1);
+    runtime::CompletionSink sink;
+    sink.ExpectJobs({1, 2, 3});
+    std::mutex mu;
+    std::vector<runtime::TaskMsg> placed;
+    for (runtime::Address monitor = 0; monitor < 2; ++monitor) {
+      bus.Register(monitor, [&](const runtime::BusMessage& m) {
+        ASSERT_EQ(m.type, runtime::kTaskPlace);
+        std::lock_guard<std::mutex> lock(mu);
+        placed.push_back(std::get<runtime::TaskMsg>(m.payload));
+      });
+    }
+    runtime::CentralBackend backend(runtime::kBackendAddress, &layout,
+                                    runtime::FaultRecoveryPolicy(), &bus, &sink);
+    backend.Start();
+    const auto submit = [&](JobId job, int64_t estimate_us) {
+      bus.Send(runtime::kBackendAddress, runtime::kBackendAddress, runtime::kJobSubmit,
+               runtime::JobSubmitMsg::Make(job, /*is_long=*/true, estimate_us, {1'000}));
+      bus.Drain();
+      std::lock_guard<std::mutex> lock(mu);
+      return placed.back();
+    };
+    const auto report = [&](runtime::MessageType type, const runtime::TaskMsg& task) {
+      bus.Send(task.slot, runtime::kBackendAddress, type, task);
+    };
+    // Job 1's estimate is the larger, so a lane 0 left marked executing
+    // would drain after lane 1.
+    const runtime::TaskMsg first = submit(1, 2 * kEstimateUs);
+    const runtime::TaskMsg second = submit(2, kEstimateUs);
+    ASSERT_EQ(first.slot, 0u);
+    ASSERT_EQ(second.slot, 1u);
+    report(runtime::kTaskStarted, second);
+    if (finish_first) {
+      report(runtime::kTaskDone, first);
+      report(runtime::kTaskStarted, first);
+    } else {
+      report(runtime::kTaskStarted, first);
+      report(runtime::kTaskDone, first);
+    }
+    EXPECT_EQ(submit(3, kEstimateUs).slot, first.slot);
+    bus.Shutdown();
+  }
+}
+
 // --- agreement with the simulator -------------------------------------------
 
 // Shared body: under load, the prototype and the simulator agree that Hawk
@@ -248,8 +377,8 @@ void ExpectImplMatchesSimShape(uint32_t workers, uint32_t slots, uint32_t jobs,
   const uint32_t total_slots = workers * slots;
   const Trace trace = SmallScaledTrace(jobs, seed, util, total_slots);
 
-  runtime::PrototypeConfig runtime_knobs = SmallConfig("hawk", workers, slots);
-  HawkConfig sim_config = runtime_knobs.hawk;
+  const runtime::PrototypeConfig runtime_knobs = SmallKnobs();
+  const HawkConfig sim_config = SmallHawk(workers, slots);
 
   // One spec pair drives both worlds.
   const ExperimentSpec hawk_spec =
